@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -279,19 +278,18 @@ def ball_cmd(radius: int, center: str, out: str, max_radius: int | None, member_
 @click.option("--n", type=int, default=None, help="Scale for kinds I and C.")
 @click.option("--index-limit", type=int, default=2000, show_default=True)
 @click.option("--m-max", type=int, default=4, show_default=True)
-@click.option("--window", type=int, default=None,
-              help="Pair-scan window; 0 forces a full scan.")
 @click.option("--family", default=None,
               help="Comma-separated circle scales; emits the family profile.")
 @click.option("--max-index", type=int, default=None,
               help=f"Raise the index cap (default {DEFAULT_INDEX_CAP}).")
 @click.option("--out", default="-")
 def profile(kind: str | None, n: int | None, index_limit: int, m_max: int,
-            window: int | None, family: str | None, max_index: int | None, out: str) -> None:
+            family: str | None, max_index: int | None, out: str) -> None:
     """Distortion profile CSV: D(M) = max index gap at distance <= M.
 
     Circles are profiled over the whole cycle with the cyclic index
-    metric; --index-limit applies to the open kinds."""
+    metric; --index-limit applies to the open kinds.  D(M) is exact over
+    all pairs; the cost grows as |B(e, M)| times the walk length."""
     if family is not None:
         if kind not in (None, "C"):
             raise click.UsageError("--family profiles circles; drop --kind")
@@ -301,6 +299,8 @@ def profile(kind: str | None, n: int | None, index_limit: int, m_max: int,
             raise click.UsageError(f"--family: not a comma-separated int list: {family!r}")
         try:
             fam = circle_family_distortion(ns, m_max)
+        except ResourceLimitError as exc:
+            _resource_exit(exc)
         except ValueError as exc:
             raise click.UsageError(f"--family: {exc}")
         _write_output(fam.csv_text(), out)
@@ -311,7 +311,9 @@ def profile(kind: str | None, n: int | None, index_limit: int, m_max: int,
         _enforce_cap(index_limit, DEFAULT_INDEX_CAP, max_index, "index limit", "--max-index")
     try:
         spec = PathSpec(kind, n)
-        prof = distortion_profile(spec, index_limit, m_max, window=window)
+        prof = distortion_profile(spec, index_limit, m_max)
+    except ResourceLimitError as exc:
+        _resource_exit(exc)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _write_output(prof.csv_text(), out)
@@ -380,113 +382,6 @@ def verify(suite: str) -> None:
         click.echo(f"{failed} of {len(results)} checks failed", err=True)
         sys.exit(1)
     click.echo(f"all {len(results)} checks passed")
-
-
-# ------------------------------------------------------- programmatic entry
-
-_COMMANDS = ("walk", "dist", "ball", "profile", "separate", "verify")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation as data; `run` executes it with identical
-    semantics (validation, caps, cache, exit status)."""
-
-    command: str
-    kind: str | None = None
-    n: int | None = None
-    steps: int | None = None
-    from_config: str | None = None
-    to_config: str | None = None
-    center: str | None = None
-    radius: int | None = None
-    k_neighborhood: int = 0
-    index_limit: int | None = None
-    m_max: int | None = None
-    window: int | None = None
-    family: str | None = None
-    probe_n: int | None = None
-    probe_a: str | None = None
-    probe_b: str | None = None
-    max_radius: int | None = None
-    max_index: int | None = None
-    member_cap: int | None = None
-    suite: str = "all"
-    out: str = "-"
-    cache_dir: str | None = None
-    no_cache: bool = False
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-
-    def to_argv(self) -> list[str]:
-        opt = {
-            "--kind": self.kind,
-            "--n": self.n,
-            "--steps": self.steps,
-            "--from": self.from_config,
-            "--to": self.to_config,
-            "--center": self.center,
-            "--radius": self.radius,
-            "--k": self.k_neighborhood if self.k_neighborhood else None,
-            "--index-limit": self.index_limit,
-            "--m-max": self.m_max,
-            "--window": self.window,
-            "--family": self.family,
-            "--probe-n": self.probe_n,
-            "--probe-a": self.probe_a,
-            "--probe-b": self.probe_b,
-            "--max-radius": self.max_radius,
-            "--max-index": self.max_index,
-            "--member-cap": self.member_cap,
-        }
-        argv = [self.command]
-        known = _ARGV_FLAGS[self.command]
-        for flag in known:
-            value = opt[flag]
-            if value is not None:
-                argv += [flag, str(value)]
-        if self.command == "verify":
-            argv += ["--suite", self.suite]
-        elif self.command != "dist":
-            argv += ["--out", self.out]
-        if self.command == "walk" and self.no_cache:
-            argv.append("--no-cache")
-        return argv
-
-
-_ARGV_FLAGS = {
-    "walk": ("--kind", "--n", "--steps"),
-    "dist": ("--from", "--to"),
-    "ball": ("--radius", "--center", "--max-radius", "--member-cap"),
-    "profile": ("--kind", "--n", "--index-limit", "--m-max", "--window",
-                "--family", "--max-index"),
-    "separate": ("--kind", "--n", "--k", "--radius", "--probe-n", "--probe-a",
-                 "--probe-b", "--max-radius", "--member-cap"),
-    "verify": (),
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status (0/1/2/3)."""
-    saved = os.environ.get("LL_COARSE_CACHE_DIR")
-    if config.cache_dir is not None:
-        os.environ["LL_COARSE_CACHE_DIR"] = config.cache_dir
-    try:
-        main.main(args=config.to_argv(), standalone_mode=False)
-        return 0
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 2
-    except SystemExit as exc:  # resource exits (3) and verify failures (1)
-        return exc.code if isinstance(exc.code, int) else 0
-    finally:
-        if config.cache_dir is not None:
-            if saved is None:
-                os.environ.pop("LL_COARSE_CACHE_DIR", None)
-            else:
-                os.environ["LL_COARSE_CACHE_DIR"] = saved
 
 
 if __name__ == "__main__":

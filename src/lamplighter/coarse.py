@@ -13,6 +13,7 @@ bits already cost more than the budget cannot reach the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -697,67 +698,53 @@ class DistortionProfile:
         return "\n".join(lines) + "\n"
 
 
-_CLIP_LO = -32
-_CLIP_BITS = 64
+def _join_profile(vertices: Sequence[Configuration], cyclic: bool, m_max: int) -> tuple[int, ...]:
+    """Exact D(0..m_max) over all vertex pairs of a simple walk.
 
-
-def _profile_arrays(vertices: Sequence[Configuration]):
+    d(v_i, v_j) = |v_i^-1 v_j|, so the pairs at distance d are those with
+    v_j = v_i g for g in the sphere S(e, d).  Each vertex is packed once
+    into an int key (lamp bits above a cursor field, with m_max spare
+    positions below the lowest lamp and above the highest cursor, so
+    every translate by the ball packs too), and the translate of every
+    vertex by every ball member is looked up in the key index.  Members
+    with cursor < 0 are skipped: g^-1 finds the pairs of g with the ends
+    swapped, and a member with cursor 0 is its own inverse.
+    """
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    b = ball(IDENTITY, m_max)
     n = len(vertices)
-    masks = np.zeros(n, dtype=np.uint64)
-    cursors = np.zeros(n, dtype=np.int64)
-    outside = np.zeros(n, dtype=np.int64)
+    cursors = [v.cursor for v in vertices]
+    c_min = min(cursors)
+    c_bits = (max(cursors) + m_max - c_min).bit_length()
+    # consecutive vertices differ by one generator: at equal cursors the
+    # lamp under the cursor toggled, otherwise the lamps are the same
+    base = min([c_min, *vertices[0].lamps]) - m_max
+    mask = sum(1 << (p - base + c_bits) for p in vertices[0].lamps)
+    packed = []
+    index = {}
+    prev = None
     for i, v in enumerate(vertices):
-        m = 0
-        out = 0
-        for p in v.lamps:
-            q = p - _CLIP_LO
-            if 0 <= q < _CLIP_BITS:
-                m |= 1 << q
-            else:
-                out += 1
-        masks[i] = m
-        cursors[i] = v.cursor
-        outside[i] = out
-    return masks, cursors, outside
-
-
-def _scan_pairs(
-    vertices: Sequence[Configuration],
-    m_max: int,
-    cyclic: bool,
-    gap_limit: int,
-) -> list[int]:
-    """Best index gap per exact distance <= m_max, scanning gaps up to
-    gap_limit.  The lamp masks are clipped to a window; clipped lamps are
-    counted separately so the prefilter stays a valid lower bound."""
-    n = len(vertices)
-    masks, cursors, outside = _profile_arrays(vertices)
-    if cyclic:
-        masks2 = np.concatenate([masks, masks[:gap_limit]])
-        cursors2 = np.concatenate([cursors, cursors[:gap_limit]])
-        outside2 = np.concatenate([outside, outside[:gap_limit]])
+        if v.cursor == prev:
+            mask ^= 1 << (v.cursor - base + c_bits)
+        prev = v.cursor
+        cur = v.cursor - c_min
+        index[mask | cur] = i
+        # g's lamp q, held at bit q + m_max of g_mask, lands on lamp
+        # q + cursor of the translate
+        packed.append((mask, v.cursor - base - m_max + c_bits, cur))
+    get = index.get
     best = [0] * (m_max + 1)
-    for gap in range(1, gap_limit + 1):
+    for g, d in b.items():
+        if d == 0 or g.cursor < 0:
+            continue
+        g_mask = sum(1 << (q + m_max) for q in g.lamps)
+        hits = map(get, [(m ^ (g_mask << s)) | (c + g.cursor) for m, s, c in packed])
+        gaps = [abs(i - j) for i, j in enumerate(hits) if j is not None]
         if cyclic:
-            mb, cb, ob = (
-                masks2[gap : gap + n],
-                cursors2[gap : gap + n],
-                outside2[gap : gap + n],
-            )
-            ma, ca, oa = masks, cursors, outside
-        else:
-            ma, ca, oa = masks[:-gap], cursors[:-gap], outside[:-gap]
-            mb, cb, ob = masks[gap:], cursors[gap:], outside[gap:]
-        lamp_lb = np.bitwise_count(ma ^ mb).astype(np.int64) + np.abs(oa - ob)
-        cand = (np.abs(ca - cb) <= m_max) & (lamp_lb <= m_max)
-        for i in np.nonzero(cand)[0].tolist():
-            j = (i + gap) % n if cyclic else i + gap
-            d = word_distance(vertices[i], vertices[j])
-            if d <= m_max and gap > best[d]:
-                best[d] = gap
-    for m in range(1, m_max + 1):
-        best[m] = max(best[m], best[m - 1])
-    return best
+            gaps = [min(gap, n - gap) for gap in gaps]
+        best[d] = max(best[d], max(gaps, default=0))
+    return tuple(accumulate(best, max))
 
 
 def _profile_vertices(spec: PathSpec, index_limit: int) -> tuple[list[Configuration], str]:
@@ -775,54 +762,23 @@ def _profile_vertices(spec: PathSpec, index_limit: int) -> tuple[list[Configurat
     return list(quasi_circle(spec.n).vertices[:-1]), "cyclic"
 
 
-_FULL_SCAN_LIMIT = 4096
-_WINDOW_START = 256
-_WINDOW_SLACK = 64
+def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> DistortionProfile:
+    """Distortion along a path: D(M) = max index gap at word distance
+    <= M, for M = 0..m_max, exact over all vertex pairs.
 
-
-def distortion_profile(
-    spec: PathSpec,
-    index_limit: int,
-    m_max: int,
-    *,
-    window: int | None = None,
-) -> DistortionProfile:
-    """Empirical distortion along a path: D(M) = max index gap at word
-    distance <= M, for M = 0..m_max.
-
-    Pairs are scanned by index gap with a vectorized necessary-condition
-    prefilter; survivors get the exact distance.  Long paths use a
-    sliding window (window=None picks full scan up to 4096 vertices,
-    else a growing window): exact as long as no qualifying pair exceeds
-    the window, and the window is regrown until the observed maximum
-    sits well inside it.  window=0 forces a full scan.
+    Computed by joining the walk with its translates by B(e, m_max), so
+    the cost grows as |B(e, m_max)| times the walk length.
     """
     if index_limit < 2:
         raise ValueError("index_limit must be at least 2")
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
     vertices, mode = _profile_vertices(spec, index_limit)
-    n = len(vertices)
-    max_gap = (n // 2) if mode == "cyclic" else (n - 1)
-    if window == 0 or (window is None and n <= _FULL_SCAN_LIMIT):
-        w = max_gap
-    elif window is None:
-        w = _WINDOW_START
-    else:
-        w = window
-    while True:
-        w = min(w, max_gap)
-        best = _scan_pairs(vertices, m_max, mode == "cyclic", w)
-        if w >= max_gap or best[m_max] + _WINDOW_SLACK <= w:
-            break
-        w = min(max_gap, w * 4)
     return DistortionProfile(
         kind=spec.kind,
         n=spec.n,
         index_limit=index_limit,
         m_max=m_max,
         metric_mode=mode,
-        entries=tuple(best),
+        entries=_join_profile(vertices, mode == "cyclic", m_max),
     )
 
 
@@ -857,8 +813,15 @@ def circle_family_distortion(n_values: Iterable[int], m_max: int) -> CircleFamil
         raise ValueError("circle scales must be within 1..6")
     profiles = {}
     for n in ns:
-        cycle_len = len(quasi_circle(n).vertices) - 1
-        profiles[n] = distortion_profile(PathSpec("C", n), cycle_len, m_max)
+        vertices, _ = _profile_vertices(PathSpec("C", n), 0)  # circles ignore the limit
+        profiles[n] = DistortionProfile(
+            kind="C",
+            n=n,
+            index_limit=len(vertices),
+            m_max=m_max,
+            metric_mode="cyclic",
+            entries=_join_profile(vertices, True, m_max),
+        )
     h = []
     attaining = []
     for m in range(m_max + 1):

@@ -6,8 +6,8 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from lamplighter import verify
-from lamplighter.cli import RunConfig, main, run as run_config
+from lamplighter import ResourceLimitError, cli, verify
+from lamplighter.cli import main
 
 WALK_N12 = """\
 {"kind":"N","n":null,"steps":12}
@@ -185,6 +185,23 @@ class TestProfileCommand:
         assert r.exit_code == 2
         assert "--max-index" in r.stderr
 
+    @pytest.mark.parametrize("extra", [("--kind", "N"), ("--family", "1")])
+    def test_m_max_past_the_packing_range_is_a_usage_error(self, runner, cache_env, extra):
+        r = runner.invoke(main, ["profile", *extra, "--m-max", "29"], env=cache_env)
+        assert r.exit_code == 2
+        assert "29" in r.stderr
+
+    def test_resource_limit_is_a_resource_exit(self, runner, cache_env, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise ResourceLimitError("ball(radius=4) exceeds member cap 10")
+
+        monkeypatch.setattr(cli, "distortion_profile", exhausted)
+        monkeypatch.setattr(cli, "circle_family_distortion", exhausted)
+        for args in (["--kind", "N"], ["--family", "1"]):
+            r = runner.invoke(main, ["profile", *args, "--m-max", "4"], env=cache_env)
+            assert r.exit_code == 3
+            assert "resource limit" in r.stderr
+
 
 class TestSeparateCommand:
     def test_report_fields(self, runner, cache_env):
@@ -204,35 +221,6 @@ class TestSeparateCommand:
             env=cache_env,
         )
         assert r.exit_code == 2
-
-
-class TestRunConfig:
-    def test_walk_through_the_programmatic_door(self, tmp_path, capsys):
-        cfg = RunConfig(
-            command="walk", kind="N", steps=12,
-            cache_dir=str(tmp_path / "cache"),
-        )
-        assert run_config(cfg) == 0
-        assert capsys.readouterr().out == WALK_N12
-
-    def test_exit_codes_match_the_cli(self, tmp_path, capsys):
-        base = {"cache_dir": str(tmp_path / "cache")}
-        assert run_config(RunConfig(command="ball", radius=13, **base)) == 2
-        assert run_config(RunConfig(command="ball", radius=4, member_cap=10, **base)) == 3
-        capsys.readouterr()
-
-    def test_writes_artifacts_on_disk(self, tmp_path):
-        out = tmp_path / "profile.csv"
-        cfg = RunConfig(
-            command="profile", kind="C", n=1, m_max=3, out=str(out),
-            cache_dir=str(tmp_path / "cache"),
-        )
-        assert run_config(cfg) == 0
-        assert out.read_text() == "M,D\n0,0\n1,13\n2,42\n3,43\n"
-
-    def test_rejects_unknown_command(self):
-        with pytest.raises(ValueError, match="unknown command"):
-            RunConfig(command="walkies")
 
 
 class TestVerifyCommand:

@@ -1,5 +1,6 @@
 """Coarse layer: packed balls, path membership, components, distortion."""
 
+import itertools
 import json
 import random
 
@@ -32,6 +33,18 @@ from lamplighter import (
 from lamplighter.coarse import PathSpec
 
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
+
+
+def all_pairs_profile(vertices, cyclic, m_max):
+    """D(0..m_max) by the closed-form distance of every vertex pair."""
+    n = len(vertices)
+    best = [0] * (m_max + 1)
+    for i, j in itertools.combinations(range(n), 2):
+        d = word_distance(vertices[i], vertices[j])
+        if d <= m_max:
+            gap = min(j - i, n - (j - i)) if cyclic else j - i
+            best[d] = max(best[d], gap)
+    return tuple(itertools.accumulate(best, max))
 
 
 @pytest.fixture(scope="module")
@@ -273,10 +286,21 @@ class TestDistortionProfile:
         assert p.entries[0] == 0
         assert all(a <= b for a, b in zip(p.entries, p.entries[1:]))
 
-    def test_windowed_scan_matches_full_scan(self):
-        full = distortion_profile(PathSpec("N"), 6000, 4, window=0)
-        auto = distortion_profile(PathSpec("N"), 6000, 4)
-        assert full.entries == auto.entries
+    @pytest.mark.parametrize("m_max", [4, 6])
+    @pytest.mark.parametrize(
+        "spec,walk,cyclic",
+        [
+            (PathSpec("N"), lambda: half_quasi_line(300).vertices, False),
+            (PathSpec("R"), lambda: quasi_line(75, 150).vertices, False),
+            (PathSpec("I", 1), lambda: quasi_interval(1).vertices, False),
+            (PathSpec("C", 1), lambda: quasi_circle(1).vertices[:-1], True),
+            (PathSpec("C", 2), lambda: quasi_circle(2).vertices[:-1], True),
+        ],
+        ids=["N300", "R300", "I1", "C1", "C2"],
+    )
+    def test_join_matches_all_pairs(self, spec, walk, cyclic, m_max):
+        expected = all_pairs_profile(walk(), cyclic, m_max)
+        assert distortion_profile(spec, 300, m_max).entries == expected
 
     def test_stable_in_index_limit(self):
         assert (
