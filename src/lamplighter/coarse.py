@@ -13,12 +13,13 @@ bits already cost more than the budget cannot reach the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .group import EXCEEDS, IDENTITY, Configuration, compose, invert, word_distance
+from .group import EXCEEDS, IDENTITY, Configuration, Step, compose, invert, word_distance
 from .walks import (
     Walk,
     half_quasi_line,
@@ -74,6 +75,22 @@ class PathSpec:
 
     def label(self) -> str:
         return self.kind if self.n is None else f"{self.kind}{self.n}"
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.
+
+    np.unique takes a hash path for integer arrays in numpy 2.x, which
+    is an order of magnitude slower than sorting on millions of packed
+    keys; a sort plus an adjacent-difference mask gives the same array.
+    """
+    out = np.sort(values)
+    if len(out) < 2:
+        return out
+    keep = np.empty(len(out), dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -184,7 +201,7 @@ def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER
         if len(cur) == 0:
             break
         tog, rgt, lft = _neighbor_keys(cur)
-        cand = np.unique(np.concatenate([tog, rgt, lft]))
+        cand = _unique(np.concatenate([tog, rgt, lft]))
         # the Cayley graph is bipartite (every generator flips lamp count
         # plus cursor mod 2), so new vertices can only collide with the
         # previous level
@@ -212,7 +229,7 @@ def _walk_keys_in_ball(walk_vertices: Iterable[Configuration], b: Ball) -> np.nd
             keys.append(key)
     if not keys:
         return np.array([], dtype=np.uint64)
-    arr = np.unique(np.array(keys, dtype=np.uint64))
+    arr = _unique(np.array(keys, dtype=np.uint64))
     return arr[_isin_sorted(arr, b._keys)]
 
 
@@ -231,21 +248,72 @@ def _stage_lb_origin(stages: np.ndarray) -> np.ndarray:
     return np.where(high > 0, hi_cnt + top, top + 1)
 
 
-def _replay_stage_packed(stage: int, off: int) -> list[tuple[int, int]]:
-    """(lamp mask shifted by off, cursor) for every vertex of a stage walk."""
-    mask = stage << off
+_MOVE = -2  # template gate of a cursor move: no lamp toggles
+_ALWAYS = -1  # template gate of a toggle that every stage makes
+
+
+@lru_cache(maxsize=64)  # k < 64 for any uint64 stage
+def _stage_template(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of walks.stage_steps shared by every stage with k
+    trailing ones, as three int64 arrays: the cursor after each step,
+    the lamp it toggles (0 for a move), and its gate.
+
+    Stages with k trailing ones differ only in the mirror copies: a
+    toggle at cursor c with -k < c < 0 copies stage bit 2k + c, so it
+    happens iff that bit is set.  The template is the walk of the stage
+    with all those bits set, each such toggle gated by its bit; with the
+    bit clear the step repeats the previous vertex.
+    """
+    rows: list[tuple[int, int, int]] = []
     cursor = 0
-    out = [(mask, cursor)]
-    for step in stage_steps(stage):
-        name = step.name
-        if name == "TOGGLE":
-            mask ^= 1 << (cursor + off)
-        elif name == "RIGHT":
-            cursor += 1
+    for step in stage_steps(((1 << (2 * k)) - 1) & ~(1 << k)):
+        if step is Step.TOGGLE:
+            rows.append((cursor, cursor, 2 * k + cursor if -k < cursor < 0 else _ALWAYS))
         else:
-            cursor -= 1
+            cursor += 1 if step is Step.RIGHT else -1
+            rows.append((cursor, 0, _MOVE))
+    columns = tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+    for col in columns:
+        col.flags.writeable = False
+    return columns
+
+
+def _replay_stage_packed(stage: int, off: int) -> list[tuple[int, int]]:
+    """(lamp mask shifted by off, cursor) for the start of a stage walk
+    and after each template step (a repeat where a gate is clear)."""
+    mask = stage << off
+    out = [(mask, 0)]
+    cursors, lamps, gates = (col.tolist() for col in _stage_template(trailing_ones(stage)))
+    for cursor, lamp, gate in zip(cursors, lamps, gates):
+        if gate == _ALWAYS or (gate >= 0 and (stage >> gate) & 1):
+            mask ^= 1 << (lamp + off)
         out.append((mask, cursor))
     return out
+
+
+def _replay_stages(stages: np.ndarray, k: int, off: int) -> np.ndarray:
+    """Packed keys of the stage walks of uint64 stages with k trailing ones.
+
+    Row i holds stages[i]'s start vertex, then the vertex after each
+    template step, as (lamp mask << _CUR_BITS) | (cursor + off) with
+    lamp p at bit p + off.  The lamp words are the stage bits xor the
+    running xor of the toggles that fire.  Needs off >= k and every lamp
+    bit below 64 - _CUR_BITS, which holds for the stages that survive
+    the origin bound of a ball within the packing window.
+    """
+    cursor, lamp, gate = _stage_template(k)
+    one = np.uint64(1)
+    words = np.zeros((len(stages), len(cursor) + 1), dtype=np.uint64)
+    words[:, 1:] = (one << (lamp + off).astype(np.uint64)) * (gate != _MOVE)
+    gated = np.flatnonzero(gate >= 0)
+    if len(gated):
+        fires = (stages[:, None] >> gate[gated].astype(np.uint64)) & one
+        words[:, gated + 1] *= fires
+    np.bitwise_xor.accumulate(words, axis=1, out=words)
+    words ^= (stages << np.uint64(off))[:, None]
+    words <<= np.uint64(_CUR_BITS)
+    words |= np.concatenate([[0], cursor]).astype(np.uint64) + np.uint64(off)
+    return words
 
 
 _SCAN_CHUNK = 1 << 18
@@ -255,21 +323,18 @@ def _counter_line_keys_in_ball(b: Ball, stage_bound: int | None) -> np.ndarray:
     """Packed keys of half-quasi-line vertices inside an identity ball."""
     r = b.radius
     bound = stage_bound if stage_bound is not None else 1 << (r + 1)
-    found: set[int] = set()
+    found = [np.array([], dtype=np.uint64)]
     lo = 0
     while lo < bound:
         hi = min(lo + _SCAN_CHUNK, bound)
         arr = np.arange(lo, hi, dtype=np.uint64)
         survivors = arr[_stage_lb_origin(arr) <= r]
-        for s in survivors.tolist():
-            batch = [
-                (mask << _CUR_BITS) | (cursor + r)
-                for mask, cursor in _replay_stage_packed(s, r)
-            ]
-            keys = np.array(batch, dtype=np.uint64)
-            found.update(keys[_isin_sorted(keys, b._keys)].tolist())
+        ones = np.bitwise_count(survivors ^ (survivors + np.uint64(1))) - 1
+        for k in _unique(ones).tolist():
+            keys = _unique(_replay_stages(survivors[ones == k], k, r).ravel())
+            found.append(keys[_isin_sorted(keys, b._keys)])
         lo = hi
-    return np.array(sorted(found), dtype=np.uint64)
+    return _unique(np.concatenate(found))
 
 
 def _ray_vertices(max_index: int) -> list[Configuration]:
@@ -290,7 +355,7 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball, stage_bound: int | None =
         return line
     # quasi-line: the ray anchor i sits at distance 2i, interpolants at 2i+1
     ray = _walk_keys_in_ball(_ray_vertices(b.radius // 2 + 1), b)
-    return np.union1d(line, ray)
+    return _unique(np.concatenate([line, ray]))
 
 
 def path_in_ball(spec: PathSpec, b: Ball, *, stage_bound: int | None = None) -> set[Configuration]:
@@ -451,7 +516,7 @@ def _ball_bfs_from(b: Ball, source_keys: np.ndarray) -> np.ndarray:
     while len(frontier):
         level += 1
         tog, rgt, lft = _neighbor_keys(frontier)
-        cand = np.unique(np.concatenate([tog, rgt, lft]))
+        cand = _unique(np.concatenate([tog, rgt, lft]))
         pos = np.searchsorted(b._keys, cand)
         pos[pos == len(b._keys)] = 0
         ok = (b._keys[pos] == cand) & (dist[pos] < 0)
@@ -710,8 +775,6 @@ def _join_profile(vertices: Sequence[Configuration], cyclic: bool, m_max: int) -
     with cursor < 0 are skipped: g^-1 finds the pairs of g with the ends
     swapped, and a member with cursor 0 is its own inverse.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
     b = ball(IDENTITY, m_max)
     n = len(vertices)
     cursors = [v.cursor for v in vertices]
@@ -747,6 +810,12 @@ def _join_profile(vertices: Sequence[Configuration], cyclic: bool, m_max: int) -
     return tuple(accumulate(best, max))
 
 
+def check_m_max(m_max: int) -> None:
+    """Reject an m_max whose ball B(e, m_max) cannot be packed."""
+    if not 0 <= m_max <= _MAX_RADIUS:
+        raise ValueError(f"m_max {m_max} is outside 0..{_MAX_RADIUS} (the ball's packing window)")
+
+
 def _profile_vertices(spec: PathSpec, index_limit: int) -> tuple[list[Configuration], str]:
     if spec.kind == "N":
         return list(half_quasi_line(index_limit).vertices), "linear"
@@ -771,6 +840,7 @@ def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> Distorti
     """
     if index_limit < 2:
         raise ValueError("index_limit must be at least 2")
+    check_m_max(m_max)
     vertices, mode = _profile_vertices(spec, index_limit)
     return DistortionProfile(
         kind=spec.kind,
@@ -811,6 +881,7 @@ def circle_family_distortion(n_values: Iterable[int], m_max: int) -> CircleFamil
         raise ValueError("need at least one circle")
     if any(n < 1 or n > 6 for n in ns):
         raise ValueError("circle scales must be within 1..6")
+    check_m_max(m_max)
     profiles = {}
     for n in ns:
         vertices, _ = _profile_vertices(PathSpec("C", n), 0)  # circles ignore the limit

@@ -87,7 +87,9 @@ class TestWalkCache:
         run(runner, cache_env, "walk", "--kind", "C", "--n", "1", "--out", "-")
         assert sorted(os.listdir(self.cache_dir(cache_env))) == [
             "C-1-86.walk",
+            "C-1-86.walk.sha256",
             "N-0-12.walk",
+            "N-0-12.walk.sha256",
         ]
 
     def test_cache_hit_is_byte_identical(self, runner, cache_env):
@@ -112,6 +114,49 @@ class TestWalkCache:
         assert "corrupt" in r.stderr
         with open(path) as fh:
             assert fh.read() == WALK_N12
+
+    def overwrite_vertex(self, env, name, index):
+        """Replace vertex index of a cached walk by another valid vertex."""
+        path = os.path.join(self.cache_dir(env), name)
+        with open(path) as fh:
+            lines = fh.readlines()
+        replacement = '{"cursor":0,"lamps":[2]}\n'
+        assert lines[1 + index] != replacement
+        lines[1 + index] = replacement
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+
+    def test_overwritten_interior_vertex_is_regenerated(self, runner, cache_env):
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        self.overwrite_vertex(cache_env, "N-0-12.walk", 6)
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert "corrupt cache entry N-0-12.walk" in r.stderr
+        with open(os.path.join(self.cache_dir(cache_env), "N-0-12.walk")) as fh:
+            assert fh.read() == WALK_N12
+
+    def test_overwritten_interior_vertex_is_not_served_as_a_prefix(self, runner, cache_env):
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "200", "--out", "-")
+        self.overwrite_vertex(cache_env, "N-0-200.walk", 6)
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert "corrupt cache entry N-0-200.walk" in r.stderr
+
+    def test_undecodable_entry_is_regenerated(self, runner, cache_env):
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        with open(os.path.join(self.cache_dir(cache_env), "N-0-12.walk"), "wb") as fh:
+            fh.write(b"\xff\xfe\n")
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert "corrupt" in r.stderr
+
+    def test_entry_without_digest_is_regenerated(self, runner, cache_env):
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        os.remove(os.path.join(self.cache_dir(cache_env), "N-0-12.walk.sha256"))
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert "corrupt" in r.stderr
+        assert "N-0-12.walk.sha256" in os.listdir(self.cache_dir(cache_env))
 
     def test_no_cache_flag_skips_storage(self, runner, cache_env):
         run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--no-cache", "--out", "-")
@@ -190,6 +235,22 @@ class TestProfileCommand:
         r = runner.invoke(main, ["profile", *extra, "--m-max", "29"], env=cache_env)
         assert r.exit_code == 2
         assert "29" in r.stderr
+        assert "--m-max" in r.stderr
+
+    @pytest.mark.parametrize("extra", [("--kind", "N"), ("--family", "1")])
+    def test_m_max_cap_names_the_override(self, runner, cache_env, extra):
+        r = runner.invoke(main, ["profile", *extra, "--m-max", "13"], env=cache_env)
+        assert r.exit_code == 2
+        assert "--max-radius" in r.stderr
+
+    @pytest.mark.parametrize(
+        "extra,last",
+        [(("--kind", "N", "--index-limit", "100"), "13,100"), (("--family", "1"), "13,43,1")],
+    )
+    def test_m_max_cap_override(self, runner, cache_env, extra, last):
+        r = run(runner, cache_env, "profile", *extra, "--m-max", "13", "--max-radius", "13",
+                "--out", "-")
+        assert r.output.splitlines()[-1] == last
 
     def test_resource_limit_is_a_resource_exit(self, runner, cache_env, monkeypatch):
         def exhausted(*args, **kwargs):

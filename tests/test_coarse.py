@@ -3,8 +3,12 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lamplighter import (
     EXCEEDS,
@@ -30,7 +34,9 @@ from lamplighter import (
     stage_config,
     word_distance,
 )
+from lamplighter import coarse
 from lamplighter.coarse import PathSpec
+from lamplighter.walks import replay, stage_steps, trailing_ones
 
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
 
@@ -91,6 +97,74 @@ class TestBall:
     def test_member_cap(self):
         with pytest.raises(ResourceLimitError, match="member cap"):
             ball(IDENTITY, 8, member_cap=100)
+
+    def test_closed_form_matches_bfs_at_radius_20(self):
+        b = ball(IDENTITY, 20)
+        assert b.member_count == 229_735
+        assert [(g, d) for g, d in b.items() if word_distance(IDENTITY, g) != d] == []
+
+
+def packed_stage_replay(stage, off):
+    """Packed keys of the vertices of stage_steps(stage), one by one."""
+    return [
+        (sum(1 << (p + off) for p in v.lamps) << coarse._CUR_BITS) | (v.cursor + off)
+        for v in replay(stage_config(stage), stage_steps(stage))
+    ]
+
+
+def drop_repeats(keys):
+    return [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+
+
+class TestPackedKernels:
+    OFF = 24  # room for every lamp and cursor of stages below 2**24
+
+    def assert_replays_match(self, stages):
+        stages = np.array(stages, dtype=np.uint64)
+        ones = np.array([trailing_ones(s) for s in stages.tolist()])
+        for k in sorted(set(ones.tolist())):
+            group = stages[ones == k]
+            rows = coarse._replay_stages(group, k, self.OFF).tolist()
+            for stage, row in zip(group.tolist(), rows):
+                expected = packed_stage_replay(stage, self.OFF)
+                # a gated toggle with its bit clear repeats a vertex
+                assert drop_repeats(row) == expected, stage
+                probe_row = [
+                    (mask << coarse._CUR_BITS) | (cursor + self.OFF)
+                    for mask, cursor in coarse._replay_stage_packed(stage, self.OFF)
+                ]
+                assert probe_row == row, stage
+
+    def test_vectorised_replay_matches_stage_steps(self):
+        self.assert_replays_match(range(4097))
+
+    def test_vectorised_replay_matches_stage_steps_on_random_stages(self):
+        rng = random.Random(11)
+        stages = rng.sample(range(1 << 24), 400)
+        stages += [(1 << j) - 1 for j in range(1, 25)]  # one stage per k
+        self.assert_replays_match(stages)
+
+    @given(st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)), max_size=300))
+    @example([])
+    def test_unique_matches_numpy(self, values):
+        arr = np.array(values, dtype=np.uint64)
+        got = coarse._unique(arr)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.unique(arr))
+
+    @pytest.mark.parametrize(
+        "kind,radius,count", [("N", 12, 143), ("R", 12, 155), ("N", 16, 465), ("R", 16, 481)]
+    )
+    def test_frozen_path_key_counts(self, kind, radius, count):
+        keys = coarse._path_keys_in_ball(PathSpec(kind), ball(IDENTITY, radius))
+        assert len(keys) == count
+        assert np.all(keys[1:] > keys[:-1])
+
+    def test_no_hash_unique_in_the_package(self):
+        # numpy's hash-based unique is far slower than a sort on packed keys
+        for path in Path(coarse.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert "np.unique(" not in text and "np.union1d(" not in text, path.name
 
 
 class TestPathSpec:
@@ -318,6 +392,17 @@ class TestDistortionProfile:
     def test_csv_layout(self):
         text = distortion_profile(PathSpec("N"), 2000, 4).csv_text()
         assert text == "M,D\n0,0\n1,1\n2,6\n3,31\n4,32\n"
+
+    @pytest.mark.parametrize("m_max", [-1, 29])
+    def test_m_max_is_checked_before_any_walk_is_built(self, m_max, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("a walk was built before m_max was checked")
+
+        monkeypatch.setattr(coarse, "_profile_vertices", no_walk)
+        with pytest.raises(ValueError, match="m_max"):
+            distortion_profile(PathSpec("N"), 2000, m_max)
+        with pytest.raises(ValueError, match="m_max"):
+            circle_family_distortion([1], m_max)
 
     def test_rejects_tiny_index_limit(self):
         with pytest.raises(ValueError):
