@@ -503,63 +503,75 @@ class Component:
     max_distance_to_obstacle: int | None
 
 
+def _flood(keys: np.ndarray, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]:
+    """Breadth-first levels through a sorted key table.
+
+    Yields the start positions, then each level's unseen neighbours, as
+    sorted positions in keys, and marks every yielded position in seen.
+    """
+    frontier = start
+    while len(frontier):
+        seen[frontier] = True
+        yield frontier
+        cand = _unique(np.concatenate(_neighbor_keys(keys[frontier])))
+        pos = np.searchsorted(keys, cand)
+        pos[pos == len(keys)] = 0
+        frontier = pos[(keys[pos] == cand) & ~seen[pos]]
+
+
 def _ball_bfs_from(b: Ball, source_keys: np.ndarray) -> np.ndarray:
     """Graph distances from a source set across the whole ball, -1 if
     unreachable (cannot happen for nonempty sources: balls are connected)."""
     dist = np.full(len(b._keys), -1, dtype=np.int32)
-    if len(source_keys) == 0:
-        return dist
-    pos = np.searchsorted(b._keys, source_keys)
-    dist[pos] = 0
-    frontier = source_keys
-    level = 0
-    while len(frontier):
-        level += 1
-        tog, rgt, lft = _neighbor_keys(frontier)
-        cand = _unique(np.concatenate([tog, rgt, lft]))
-        pos = np.searchsorted(b._keys, cand)
-        pos[pos == len(b._keys)] = 0
-        ok = (b._keys[pos] == cand) & (dist[pos] < 0)
-        dist[pos[ok]] = level
-        frontier = cand[ok]
+    seen = np.zeros(len(b._keys), dtype=bool)
+    for level, pos in enumerate(_flood(b._keys, np.searchsorted(b._keys, source_keys), seen)):
+        dist[pos] = level
     return dist
 
 
-def _decompose(b: Ball, removed_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kept keys, component label per kept key, and component order.
+def _neighborhood(
+    b: Ball, source_keys: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mask of the ball positions within k of the sources, and each
+    position's depth below that neighborhood (None without sources).
 
-    Labels are relabeled so that component 0 holds the smallest packed
-    key, component 1 the next, and so on (canonical configuration order:
-    lamp pattern as a binary value, then cursor).
+    Depth is d(v, sources) - k: in a connected graph the distance to the
+    k-neighborhood of a set is the distance to the set minus k.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    if len(source_keys) == 0:
+        return np.zeros(len(b._keys), dtype=bool), None
+    dist = _ball_bfs_from(b, source_keys)
+    return (dist >= 0) & (dist <= k), dist - k
 
-    keep = ~_isin_sorted(b._keys, removed_keys)
-    kept = b._keys[keep]
-    m = len(kept)
-    if m == 0:
-        return kept, np.array([], dtype=np.int64), np.array([], dtype=np.uint64)
-    rows = []
-    cols = []
-    for nb in _neighbor_keys(kept):
-        pos = np.searchsorted(kept, nb)
-        pos[pos == m] = 0
-        ok = kept[pos] == nb
-        rows.append(np.nonzero(ok)[0].astype(np.int32))
-        cols.append(pos[ok].astype(np.int32))
-    graph = coo_matrix(
-        (np.ones(sum(len(r) for r in rows), dtype=bool),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
-    ncomp, labels = connected_components(graph, directed=False)
-    rep = np.full(ncomp, np.iinfo(np.uint64).max, dtype=np.uint64)
-    np.minimum.at(rep, labels, kept)
-    order = np.argsort(rep)
-    relabel = np.empty(ncomp, dtype=np.int64)
-    relabel[order] = np.arange(ncomp)
-    return kept, relabel[labels], rep[order]
+
+def _decompose(
+    b: Ball, removed: np.ndarray, depth: np.ndarray | None
+) -> tuple[np.ndarray, list[Component]]:
+    """Component label of every ball position (-1 where removed) and the
+    components of the ball minus the removed positions.
+
+    Each component is flooded from the smallest key not yet labelled, so
+    component 0 holds the smallest kept key, component 1 the next, and
+    so on (canonical configuration order: lamp pattern as a binary
+    value, then cursor).  The seed scan walks the table once, in chunks.
+    """
+    keys = b._keys
+    labels = np.full(len(keys), -1, dtype=np.int64)
+    seen = removed.copy()
+    comps: list[Component] = []
+    for lo in range(0, len(keys), _SCAN_CHUNK):
+        for start in (lo + np.flatnonzero(~seen[lo:lo + _SCAN_CHUNK])).tolist():
+            if seen[start]:
+                continue
+            members = np.concatenate(list(_flood(keys, np.array([start]), seen)))
+            labels[members] = len(comps)
+            comps.append(Component(
+                id=len(comps),
+                size=len(members),
+                representative=b.unpack(keys[start]),
+                max_distance_to_obstacle=None if depth is None else int(depth[members].max()),
+            ))
+    return labels, comps
 
 
 def components_after_removal(b: Ball, removed: Iterable[Configuration]) -> list[Component]:
@@ -574,37 +586,7 @@ def components_after_removal(b: Ball, removed: Iterable[Configuration]) -> list[
         sorted(k for k in removed_list if k is not None), dtype=np.uint64
     )
     removed_keys = removed_keys[_isin_sorted(removed_keys, b._keys)]
-    kept, labels, reps = _decompose(b, removed_keys)
-    return _build_components(b, removed_keys, kept, labels, reps)
-
-
-def _build_components(
-    b: Ball,
-    removed_keys: np.ndarray,
-    kept: np.ndarray,
-    labels: np.ndarray,
-    reps: np.ndarray,
-) -> list[Component]:
-    if len(kept) == 0:
-        return []
-    sizes = np.bincount(labels)
-    if len(removed_keys):
-        dist = _ball_bfs_from(b, removed_keys)
-        keep_dist = dist[~_isin_sorted(b._keys, removed_keys)]
-        deep = np.zeros(len(sizes), dtype=np.int64)
-        np.maximum.at(deep, labels, keep_dist)
-        deepness: list[int | None] = [int(x) for x in deep]
-    else:
-        deepness = [None] * len(sizes)
-    return [
-        Component(
-            id=i,
-            size=int(sizes[i]),
-            representative=b.unpack(int(reps[i])),
-            max_distance_to_obstacle=deepness[i],
-        )
-        for i in range(len(sizes))
-    ]
+    return _decompose(b, *_neighborhood(b, removed_keys, 0))[1]
 
 
 @dataclass(frozen=True)
@@ -695,28 +677,22 @@ def separation_report(
     if b.radius != radius or b.center != IDENTITY:
         raise ValueError("prebuilt ball does not match the requested radius")
     obstacle_keys = _path_keys_in_ball(spec, b, stage_bound)
-    if len(obstacle_keys) and k_neighborhood > 0:
-        dist = _ball_bfs_from(b, obstacle_keys)
-        removed_keys = b._keys[(dist >= 0) & (dist <= k_neighborhood)]
-    else:
-        removed_keys = obstacle_keys
+    removed, depth = _neighborhood(b, obstacle_keys, k_neighborhood)
 
-    probe_keys = []
+    probe_positions = []
     for p in (probe_a, probe_b):
-        key = b.pack(p)
-        if key is None or not _isin_sorted(np.array([key], dtype=np.uint64), b._keys)[0]:
+        if p not in b:
             raise ProbeOutsideBallError(f"probe {p!r} is outside ball(e, {radius})")
-        if _isin_sorted(np.array([key], dtype=np.uint64), removed_keys)[0]:
+        pos = int(np.searchsorted(b._keys, np.uint64(b.pack(p))))
+        if removed[pos]:
             raise ProbeInsideObstacleError(
                 f"probe {p!r} lies in the removed obstacle neighborhood"
             )
-        probe_keys.append(key)
+        probe_positions.append(pos)
 
-    kept, labels, reps = _decompose(b, removed_keys)
-    comps = _build_components(b, removed_keys, kept, labels, reps)
+    labels, comps = _decompose(b, removed, depth)
     placements = []
-    for p, key in zip((probe_a, probe_b), probe_keys):
-        pos = int(np.searchsorted(kept, np.uint64(key)))
+    for p, pos in zip((probe_a, probe_b), probe_positions):
         comp_id = int(labels[pos])
         if spec is not None:
             d = distance_to_path(p, spec, cap=radius)
@@ -734,7 +710,7 @@ def separation_report(
         k_neighborhood=k_neighborhood,
         radius=radius,
         ball_size=b.member_count,
-        obstacle_size=int(len(removed_keys)),
+        obstacle_size=int(removed.sum()),
         components=tuple(comps),
         probes=tuple(placements),
         verdict=verdict,

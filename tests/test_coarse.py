@@ -25,6 +25,7 @@ from lamplighter import (
     distance_to_path,
     distortion_profile,
     half_quasi_line,
+    neighbors,
     path_in_ball,
     probes,
     quasi_circle,
@@ -160,11 +161,13 @@ class TestPackedKernels:
         assert len(keys) == count
         assert np.all(keys[1:] > keys[:-1])
 
-    def test_no_hash_unique_in_the_package(self):
-        # numpy's hash-based unique is far slower than a sort on packed keys
+    def test_no_hash_unique_or_scipy_in_the_package(self):
+        # numpy's hash-based unique is far slower than a sort on packed keys,
+        # and components are labelled by the ball's own flood, not scipy
         for path in Path(coarse.__file__).parent.glob("*.py"):
             text = path.read_text()
-            assert "np.unique(" not in text and "np.union1d(" not in text, path.name
+            for token in ("np.unique(", "np.union1d(", "scipy"):
+                assert token not in text, (path.name, token)
 
 
 class TestPathSpec:
@@ -258,8 +261,97 @@ class TestDistanceToPath:
         with pytest.raises(ResourceLimitError, match="stage"):
             distance_to_path(far, PathSpec("N"), 40, stage_budget=8)
 
+    @pytest.mark.parametrize("spec", [PathSpec("N"), PathSpec("R"), PathSpec("I", 2), PathSpec("C", 2)])
+    def test_matches_ball_bfs_within_the_cap(self, spec):
+        # with cap = R - d(e, v), a shortest path from v to the nearest
+        # path vertex stays inside ball(e, R), so the ball-graph distance
+        # from the path's keys is the word distance to the path
+        radius = 14
+        b = ball(IDENTITY, radius)
+        dist = coarse._ball_bfs_from(b, coarse._path_keys_in_ball(spec, b))
+        for d0 in range(radius + 1):
+            sphere = np.flatnonzero(b._dists == d0)
+            for pos in sphere[:: max(1, len(sphere) // 5)].tolist():
+                cap = radius - d0
+                want = int(dist[pos]) if dist[pos] <= cap else EXCEEDS
+                v = b.unpack(b._keys[pos])
+                assert distance_to_path(v, spec, cap) == want, (v, cap)
+
+
+def reference_components(b, removed):
+    """(size, representative, depth) of each component of b minus the
+    removed members, in canonical order, by dict BFS over neighbors.
+
+    Canonical order sorts by the lamp pattern as a binary value, then the
+    cursor; depth is the largest ball-graph distance to the removed set.
+    """
+    members = {v for v, _ in b.items()}
+    removed = set(removed)
+    depth = dict.fromkeys(removed, 0)
+    frontier = list(removed)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in neighbors(v):
+                if u in members and u not in depth:
+                    depth[u] = depth[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    seen = set(removed)
+    comps = []
+
+    def canonical(v):
+        return sum(2 ** (p + b.radius) for p in v.lamps), v.cursor
+
+    for start in sorted(members - removed, key=canonical):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for v in comp:
+            for u in neighbors(v):
+                if u in members and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        comps.append((len(comp), start, max(depth[v] for v in comp) if removed else None))
+    return comps
+
+
+def within(b, sources, k):
+    """Members of b within ball-graph distance k of the sources."""
+    out = set(sources)
+    for _ in range(k):
+        out |= {u for v in out for u in neighbors(v) if u in b}
+    return out
+
 
 class TestComponents:
+    @pytest.mark.parametrize(
+        "radius,spec,k,count",
+        [(12, PathSpec("N"), 0, 31), (12, PathSpec("N"), 1, 49), (9, PathSpec("C", 1), 0, 29)],
+    )
+    def test_report_matches_reference_labelling(self, radius, spec, k, count):
+        b = ball(IDENTITY, radius)
+        p = probes(spec.n or 2)
+        pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
+        rep = separation_report(spec, k, radius, pa, pb, prebuilt_ball=b)
+        want = reference_components(b, within(b, path_in_ball(spec, b), k))
+        assert len(want) == count
+        assert [c.id for c in rep.components] == list(range(count))
+        got = [(c.size, c.representative, c.max_distance_to_obstacle) for c in rep.components]
+        assert got == want
+        if k == 0:
+            assert list(rep.components) == components_after_removal(b, path_in_ball(spec, b))
+
+    def test_many_components_match_reference_labelling(self):
+        b = ball(IDENTITY, 14)
+        odd = [v for v, d in b.items() if d % 2]
+        comps = components_after_removal(b, odd)
+        assert len(comps) == 7_247
+        assert [c.id for c in comps] == list(range(len(comps)))
+        got = [(c.size, c.representative, c.max_distance_to_obstacle) for c in comps]
+        assert got == reference_components(b, odd)
+
     def test_removing_the_center_splits_small_ball(self):
         comps = components_after_removal(ball(IDENTITY, 2), [IDENTITY])
         assert [(c.id, c.size) for c in comps] == [(0, 3), (1, 3), (2, 3)]
