@@ -31,7 +31,14 @@ from .coarse import (
     distortion_profile,
     separation_report,
 )
-from .group import CodecError, Configuration, decode_config, encode_config, word_distance
+from .group import (
+    CodecError,
+    Configuration,
+    decode_config,
+    encode_config,
+    encode_vertices,
+    word_distance,
+)
 from .walks import Walk, half_quasi_line, probes, quasi_circle, quasi_interval, quasi_line
 
 
@@ -69,10 +76,13 @@ def _resource_exit(exc: ResourceLimitError) -> None:
 
 def _walk_text(walk: Walk) -> str:
     header = {"kind": walk.kind, "n": walk.n, "steps": walk.step_count}
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines.extend(encode_config(v) for v in walk.vertices)
-    lines.append(json.dumps({"milestones": dict(walk.milestones)}, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    trailer = {"milestones": dict(walk.milestones)}
+    return "\n".join([  # the empty last item ends the text in a newline without copying it
+        json.dumps(header, separators=(",", ":")),
+        *encode_vertices(walk.start, walk.cursors()),
+        json.dumps(trailer, separators=(",", ":")),
+        "",
+    ])
 
 
 def _cache_dir() -> Path:
@@ -97,13 +107,18 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
+def _last_line(text: str) -> str:
+    """The last line of a text that ends in a newline, without it."""
+    return text[text.rfind("\n", 0, -1) + 1 : -1]
+
+
 def _validate_walk_text(text: str, kind: str, n: int | None, steps: int) -> bool:
-    lines = text.splitlines()
-    if len(lines) != steps + 3:  # header + vertices + milestones
+    # header + vertices + milestones, each line ending in a newline
+    if not text.endswith("\n") or text.count("\n") != steps + 3:
         return False
     try:
-        header = json.loads(lines[0])
-        trailer = json.loads(lines[-1])
+        header = json.loads(text[: text.index("\n")])
+        trailer = json.loads(_last_line(text))
     except json.JSONDecodeError:
         return False
     if header != {"kind": kind, "n": n, "steps": steps}:
@@ -155,13 +170,12 @@ def _cache_lookup_prefix(kind: str, steps: int) -> str | None:
         if text is None:
             click.echo(f"warning: corrupt cache entry {path.name}, ignoring", err=True)
             continue
-        lines = text.splitlines()
+        lines = text.split("\n", steps + 2)  # header, steps + 1 vertices, the rest
         header = json.dumps({"kind": "N", "n": None, "steps": steps}, separators=(",", ":"))
-        vertex_lines = lines[1 : steps + 2]
-        milestones = json.loads(lines[-1])["milestones"]
+        milestones = json.loads(_last_line(text))["milestones"]
         trimmed = {k: v for k, v in milestones.items() if v <= steps}
         trailer = json.dumps({"milestones": trimmed}, separators=(",", ":"))
-        return "\n".join([header] + vertex_lines + [trailer]) + "\n"
+        return "\n".join([header, *lines[1 : steps + 2], trailer, ""])
     return None
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .group import EXCEEDS, IDENTITY, Configuration, Step, compose, invert, word_distance
+from .group import EXCEEDS, IDENTITY, Configuration, compose, invert, word_distance
 from .walks import (
     Walk,
     half_quasi_line,
@@ -27,8 +27,7 @@ from .walks import (
     quasi_circle,
     quasi_interval,
     quasi_line,
-    stage_config,
-    stage_steps,
+    stage_walk,
     trailing_ones,
 )
 
@@ -264,15 +263,13 @@ def _stage_template(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with all those bits set, each such toggle gated by its bit; with the
     bit clear the step repeats the previous vertex.
     """
-    rows: list[tuple[int, int, int]] = []
-    cursor = 0
-    for step in stage_steps(((1 << (2 * k)) - 1) & ~(1 << k)):
-        if step is Step.TOGGLE:
-            rows.append((cursor, cursor, 2 * k + cursor if -k < cursor < 0 else _ALWAYS))
-        else:
-            cursor += 1 if step is Step.RIGHT else -1
-            rows.append((cursor, 0, _MOVE))
-    columns = tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+    cursors = np.array(stage_walk(((1 << (2 * k)) - 1) & ~(1 << k)).cursors(), dtype=np.int64)
+    cursor = cursors[1:]
+    toggle = cursor == cursors[:-1]
+    mirror = toggle & (-k < cursor) & (cursor < 0)
+    lamp = np.where(toggle, cursor, 0)
+    gate = np.where(mirror, 2 * k + cursor, np.where(toggle, _ALWAYS, _MOVE))
+    columns = (cursor, lamp, gate)
     for col in columns:
         col.flags.writeable = False
     return columns
@@ -739,8 +736,9 @@ class DistortionProfile:
         return "\n".join(lines) + "\n"
 
 
-def _join_profile(vertices: Sequence[Configuration], cyclic: bool, m_max: int) -> tuple[int, ...]:
-    """Exact D(0..m_max) over all vertex pairs of a simple walk.
+def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ...]:
+    """Exact D(0..m_max) over all pairs of the first n vertices of a
+    simple walk.
 
     d(v_i, v_j) = |v_i^-1 v_j|, so the pairs at distance d are those with
     v_j = v_i g for g in the sphere S(e, d).  Each vertex is packed once
@@ -752,26 +750,24 @@ def _join_profile(vertices: Sequence[Configuration], cyclic: bool, m_max: int) -
     swapped, and a member with cursor 0 is its own inverse.
     """
     b = ball(IDENTITY, m_max)
-    n = len(vertices)
-    cursors = [v.cursor for v in vertices]
+    cursors = walk.cursors()[:n]
+    lamps = walk.start.lamps
     c_min = min(cursors)
     c_bits = (max(cursors) + m_max - c_min).bit_length()
-    # consecutive vertices differ by one generator: at equal cursors the
-    # lamp under the cursor toggled, otherwise the lamps are the same
-    base = min([c_min, *vertices[0].lamps]) - m_max
-    mask = sum(1 << (p - base + c_bits) for p in vertices[0].lamps)
+    base = min([c_min, *lamps]) - m_max
+    mask = sum(1 << (p - base + c_bits) for p in lamps)
     packed = []
     index = {}
     prev = None
-    for i, v in enumerate(vertices):
-        if v.cursor == prev:
-            mask ^= 1 << (v.cursor - base + c_bits)
-        prev = v.cursor
-        cur = v.cursor - c_min
+    for i, cursor in enumerate(cursors):
+        if cursor == prev:  # a toggle
+            mask ^= 1 << (cursor - base + c_bits)
+        prev = cursor
+        cur = cursor - c_min
         index[mask | cur] = i
         # g's lamp q, held at bit q + m_max of g_mask, lands on lamp
         # q + cursor of the translate
-        packed.append((mask, v.cursor - base - m_max + c_bits, cur))
+        packed.append((mask, cursor - base - m_max + c_bits, cur))
     get = index.get
     best = [0] * (m_max + 1)
     for g, d in b.items():
@@ -792,19 +788,21 @@ def check_m_max(m_max: int) -> None:
         raise ValueError(f"m_max {m_max} is outside 0..{_MAX_RADIUS} (the ball's packing window)")
 
 
-def _profile_vertices(spec: PathSpec, index_limit: int) -> tuple[list[Configuration], str]:
+def _profile_walk(spec: PathSpec, index_limit: int) -> tuple[Walk, int, str]:
+    """The walk to profile, how many of its vertices to join, and the
+    index metric."""
     if spec.kind == "N":
-        return list(half_quasi_line(index_limit).vertices), "linear"
+        return half_quasi_line(index_limit), index_limit + 1, "linear"
     if spec.kind == "R":
         neg = index_limit // 4
-        walk = quasi_line(neg, index_limit - 2 * neg)
-        return list(walk.vertices), "linear"
+        return quasi_line(neg, index_limit - 2 * neg), index_limit + 1, "linear"
     if spec.kind == "I":
-        verts = list(quasi_interval(spec.n).vertices)
-        return verts[: index_limit + 1], "linear"
-    # circles are always profiled whole: truncating a cycle breaks the
-    # cyclic gap metric
-    return list(quasi_circle(spec.n).vertices[:-1]), "cyclic"
+        walk = quasi_interval(spec.n)
+        return walk, min(index_limit, walk.step_count) + 1, "linear"
+    # circles are always profiled whole, without the repeated base:
+    # truncating a cycle breaks the cyclic gap metric
+    walk = quasi_circle(spec.n)
+    return walk, walk.step_count, "cyclic"
 
 
 def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> DistortionProfile:
@@ -817,14 +815,14 @@ def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> Distorti
     if index_limit < 2:
         raise ValueError("index_limit must be at least 2")
     check_m_max(m_max)
-    vertices, mode = _profile_vertices(spec, index_limit)
+    walk, n, mode = _profile_walk(spec, index_limit)
     return DistortionProfile(
         kind=spec.kind,
         n=spec.n,
         index_limit=index_limit,
         m_max=m_max,
         metric_mode=mode,
-        entries=_join_profile(vertices, mode == "cyclic", m_max),
+        entries=_join_profile(walk, n, mode == "cyclic", m_max),
     )
 
 
@@ -860,14 +858,14 @@ def circle_family_distortion(n_values: Iterable[int], m_max: int) -> CircleFamil
     check_m_max(m_max)
     profiles = {}
     for n in ns:
-        vertices, _ = _profile_vertices(PathSpec("C", n), 0)  # circles ignore the limit
+        walk, length, _ = _profile_walk(PathSpec("C", n), 0)  # circles ignore the limit
         profiles[n] = DistortionProfile(
             kind="C",
             n=n,
-            index_limit=len(vertices),
+            index_limit=length,
             m_max=m_max,
             metric_mode="cyclic",
-            entries=_join_profile(vertices, True, m_max),
+            entries=_join_profile(walk, length, True, m_max),
         )
     h = []
     attaining = []

@@ -12,6 +12,7 @@ independent cross-check.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from collections import deque
@@ -198,6 +199,29 @@ def encode_config(g: Configuration) -> str:
         {"cursor": g.cursor, "lamps": g.sorted_lamps()},
         separators=(",", ":"),
     )
+
+
+def encode_vertices(start: Configuration, cursors: Iterable[int]) -> list[str]:
+    """encode_config of each vertex of a walk, from its start and the
+    cursor at each vertex (a repeated cursor means that the step toggled
+    the lamp under it), without building a Configuration per vertex."""
+    lamps = sorted(start.lamps)
+    words = list(map(str, lamps))  # each lamp's text, kept with the lamp
+    shown = ",".join(words)
+    lines = []
+    prev = None
+    for cursor in cursors:
+        if cursor == prev:
+            i = bisect_left(lamps, cursor)
+            if i < len(lamps) and lamps[i] == cursor:
+                del lamps[i], words[i]
+            else:
+                lamps.insert(i, cursor)
+                words.insert(i, str(cursor))
+            shown = ",".join(words)
+        prev = cursor
+        lines.append('{"cursor":%d,"lamps":[%s]}' % (cursor, shown))
+    return lines
 
 
 def _require_int(value, what: str) -> int:

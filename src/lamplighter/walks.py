@@ -13,6 +13,8 @@ assembled from those stages and their left-right mirror.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .group import IDENTITY, Configuration, Step, apply_step
@@ -77,18 +79,21 @@ def replay(start: Configuration, steps: Iterable[Step]) -> list[Configuration]:
     return vertices
 
 
+_CURSOR_MOVE = {Step.TOGGLE: 0, Step.RIGHT: 1, Step.LEFT: -1}
+
+
 @dataclass(frozen=True)
 class Walk:
     """A walk in the Cayley graph: start vertex plus generator steps.
 
-    vertices is derived from start and steps and always satisfies
-    vertices[i+1] = apply_step(vertices[i], steps[i]).  milestones maps
-    labels to vertex indices.
+    vertices is derived from start and steps on first access and always
+    satisfies vertices[i+1] = apply_step(vertices[i], steps[i]); code
+    that only needs the lamps and cursors reads start and cursors()
+    instead.  milestones maps labels to vertex indices.
     """
 
     start: Configuration
     steps: tuple[Step, ...]
-    vertices: tuple[Configuration, ...]
     milestones: dict[str, int] = field(default_factory=dict)
     kind: str | None = None
     n: int | None = None
@@ -105,16 +110,25 @@ class Walk:
         n: int | None = None,
         closed: bool = False,
     ) -> "Walk":
-        steps = tuple(steps)
         return cls(
             start=start,
-            steps=steps,
-            vertices=tuple(replay(start, steps)),
+            steps=tuple(steps),
             milestones=dict(milestones or {}),
             kind=kind,
             n=n,
             closed=closed,
         )
+
+    @cached_property
+    def vertices(self) -> tuple[Configuration, ...]:
+        return tuple(replay(self.start, self.steps))
+
+    def cursors(self) -> list[int]:
+        """The cursor at each vertex.  Step i toggles exactly when
+        cursors()[i + 1] == cursors()[i], and then it toggles the lamp
+        at that cursor."""
+        return list(accumulate(map(_CURSOR_MOVE.__getitem__, self.steps),
+                               initial=self.start.cursor))
 
     @property
     def end(self) -> Configuration:

@@ -6,7 +6,17 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from lamplighter import ResourceLimitError, cli, verify
+from lamplighter import (
+    PathSpec,
+    ResourceLimitError,
+    Walk,
+    circle_family_distortion,
+    cli,
+    distortion_profile,
+    encode_config,
+    quasi_circle,
+    verify,
+)
 from lamplighter.cli import main
 
 WALK_N12 = """\
@@ -76,6 +86,50 @@ class TestWalkCommand:
     def test_scaled_kinds_reject_steps(self, runner, cache_env):
         r = runner.invoke(main, ["walk", "--kind", "I", "--steps", "5"], env=cache_env)
         assert r.exit_code == 2
+
+
+def reference_walk_text(walk):
+    """The walk file written from Walk.vertices, one encode_config per vertex."""
+    header = json.dumps({"kind": walk.kind, "n": walk.n, "steps": walk.step_count},
+                        separators=(",", ":"))
+    trailer = json.dumps({"milestones": walk.milestones}, separators=(",", ":"))
+    return "\n".join([header, *(encode_config(v) for v in walk.vertices), trailer]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind,n,steps",
+    [("N", None, 5000), ("R", None, 400), ("R", None, 2000),
+     ("I", 1, None), ("I", 2, None), ("I", 3, None),
+     ("C", 1, None), ("C", 2, None), ("C", 3, None)],
+    ids=["N5000", "R400", "R2000", "I1", "I2", "I3", "C1", "C2", "C3"],
+)
+def test_walk_text_matches_the_vertices(kind, n, steps):
+    walk = cli._build_walk(kind, n, steps)
+    lines = cli._walk_text(walk).splitlines(keepends=True)
+    expected = reference_walk_text(walk).splitlines(keepends=True)
+    assert len(lines) == len(expected)
+    wrong = [i for i, (a, b) in enumerate(zip(lines, expected)) if a != b]
+    assert not wrong, f"{len(wrong)} lines differ, first {wrong[0]}: {lines[wrong[0]]!r}"
+    if kind == "C":  # closed: the last vertex line repeats the base
+        assert lines[-2] == lines[1]
+
+
+def test_profiles_and_walk_files_do_not_build_vertices(runner, cache_env, monkeypatch):
+    def no_vertices(self):
+        raise AssertionError("Walk.vertices was built")
+
+    monkeypatch.setattr(Walk, "vertices", property(no_vertices))
+    with pytest.raises(AssertionError, match="Walk.vertices"):
+        quasi_circle(1).vertices
+    assert distortion_profile(PathSpec("N"), 2000, 4).entries == (0, 1, 6, 31, 32)
+    distortion_profile(PathSpec("R"), 2000, 4)
+    distortion_profile(PathSpec("I", 2), 2000, 4)
+    circle_family_distortion([1, 2, 3], 4)
+    miss = run(runner, cache_env, "walk", "--kind", "C", "--n", "2")
+    assert len(os.listdir(cache_env["LL_COARSE_CACHE_DIR"])) == 2  # the walk and its digest
+    hit = run(runner, cache_env, "walk", "--kind", "C", "--n", "2")
+    assert hit.output == miss.output
+    assert "warning" not in hit.stderr
 
 
 class TestWalkCache:

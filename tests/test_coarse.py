@@ -490,7 +490,7 @@ class TestDistortionProfile:
         def no_walk(*args):
             raise AssertionError("a walk was built before m_max was checked")
 
-        monkeypatch.setattr(coarse, "_profile_vertices", no_walk)
+        monkeypatch.setattr(coarse, "_profile_walk", no_walk)
         with pytest.raises(ValueError, match="m_max"):
             distortion_profile(PathSpec("N"), 2000, m_max)
         with pytest.raises(ValueError, match="m_max"):

@@ -14,7 +14,6 @@ from lamplighter import (
     Step,
     apply_step,
     bfs_ball,
-    bfs_distance,
     compose,
     decode_config,
     dyadic_views,
@@ -25,6 +24,7 @@ from lamplighter import (
     stage_config,
     word_distance,
 )
+from lamplighter.group import bfs_distance
 
 configs = st.builds(
     Configuration,

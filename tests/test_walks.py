@@ -10,7 +10,6 @@ from lamplighter import (
     Step,
     Walk,
     half_quasi_line,
-    mirror_walk,
     probes,
     quasi_circle,
     quasi_interval,
@@ -20,7 +19,7 @@ from lamplighter import (
     trailing_ones,
     word_distance,
 )
-from lamplighter.walks import mirror_steps, replay
+from lamplighter.walks import mirror_steps, mirror_walk, replay
 
 T, R, L = Step.TOGGLE, Step.RIGHT, Step.LEFT
 
