@@ -280,6 +280,8 @@ def ball_cmd(radius: int, center: str, out: str, max_radius: int | None, member_
         b = ball(center_cfg, radius, member_cap=member_cap)
     except ResourceLimitError as exc:
         _resource_exit(exc)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     header = {
         "center": json.loads(encode_config(center_cfg)),
         "radius": radius,

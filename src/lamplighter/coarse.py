@@ -13,13 +13,21 @@ bits already cost more than the budget cannot reach the ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .group import EXCEEDS, IDENTITY, Configuration, compose, invert, word_distance
+from .group import (
+    EXCEEDS,
+    IDENTITY,
+    Configuration,
+    compose,
+    invert,
+    sphere_sizes,
+    word_distance,
+)
 from .walks import (
     Walk,
     half_quasi_line,
@@ -174,6 +182,38 @@ class Ball:
         counts = np.bincount(self._dists, minlength=self.radius + 1)
         return [int(c) for c in counts]
 
+    @cached_property
+    def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ball graph as positions in the key table, built on first use.
+
+        tog[i] is the position of member i's toggle neighbour (int32, -1
+        outside the ball).  The toggle is an involution, so only members
+        with the lamp under the cursor off are looked up, and each hit
+        fills both ends.  link[j] (j = 1..len - 1) says keys[j] ==
+        keys[j - 1] + 1: key + 1 is the right neighbour, which sits at
+        the next position when it is a member, so member i's right
+        neighbour is a member iff link[i + 1] and its left iff link[i].
+        link[0] and link[len] stay False.
+        """
+        keys = self._keys
+        n = len(keys)
+        tog = np.full(n, -1, dtype=np.int32)
+        link = np.zeros(n + 1, dtype=bool)
+        for lo in range(0, n, _SCAN_CHUNK):
+            part = keys[lo:lo + _SCAN_CHUNK]
+            bit = np.uint64(1) << (np.uint64(_CUR_BITS) + (part & _CUR_MASK))
+            dark = np.flatnonzero((part & bit) == 0)
+            lit = part[dark] | bit[dark]
+            pos = np.searchsorted(keys, lit)
+            pos[pos == n] = 0
+            hit = keys[pos] == lit
+            src, dst = lo + dark[hit], pos[hit]
+            tog[src] = dst
+            tog[dst] = src
+            nxt = keys[lo + 1:lo + _SCAN_CHUNK + 1]
+            link[lo + 1:lo + 1 + len(nxt)] = nxt - part[:len(nxt)] == 1
+        return tog, link
+
 
 def _neighbor_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Toggle, right, left neighbors of packed keys (same window)."""
@@ -184,18 +224,20 @@ def _neighbor_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER_CAP) -> Ball:
     """Exhaustive BFS ball with exact distances.
 
-    Growth is exponential (ratio around 1.8 per unit radius); the member
-    cap aborts construction with ResourceLimitError before memory does.
+    Growth is exponential (ratio around 1.8 per unit radius); the
+    closed-form count of the ball raises ResourceLimitError over the
+    member cap before any level is built.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > _MAX_RADIUS:
         raise ValueError(f"radius {radius} exceeds the packing window ({_MAX_RADIUS})")
+    if sum(sphere_sizes(radius)) > member_cap:
+        raise ResourceLimitError(f"ball(radius={radius}) exceeds member cap {member_cap}")
     r = radius
     origin = np.array([r], dtype=np.uint64)  # identity: empty lamps, cursor 0
     levels = [origin]
     prev, cur = np.array([], dtype=np.uint64), origin
-    total = 1
     for _ in range(radius):
         if len(cur) == 0:
             break
@@ -205,11 +247,6 @@ def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER
         # plus cursor mod 2), so new vertices can only collide with the
         # previous level
         fresh = cand[~_isin_sorted(cand, prev)]
-        total += len(fresh)
-        if total > member_cap:
-            raise ResourceLimitError(
-                f"ball(radius={radius}) exceeds member cap {member_cap}"
-            )
         levels.append(fresh)
         prev, cur = cur, fresh
     keys = np.concatenate(levels)
@@ -314,23 +351,45 @@ def _replay_stages(stages: np.ndarray, k: int, off: int) -> np.ndarray:
 
 
 _SCAN_CHUNK = 1 << 18
+_REPLAY_ROWS = 1 << 14
+
+
+def _stage_survivors(r: int) -> Iterator[tuple[int, np.ndarray]]:
+    """For k = 0..r, the stages with k trailing ones that can reach
+    B(e, r), as uint64, every one of them below 2**r.
+
+    Such a stage is s = (H << (k + 1)) | (2**k - 1) with origin bound
+    _stage_lb_origin(s) = cost(H) + k, where cost(H) = popcount(H) +
+    bitlen(H).  Appending a low bit to H adds 1 (a 0) or 2 (a 1) to its
+    cost, so the H of cost at most r grow one bit at a time, a branch
+    stopping at cost > r; each k then takes those of cost at most r - k.
+    """
+    found, costs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.int64)]
+    h, cost = np.ones(1, dtype=np.uint64), np.full(1, 2, dtype=np.int64)
+    while len(h):
+        keep = cost <= r
+        h, cost = h[keep], cost[keep]
+        found.append(h)
+        costs.append(cost)
+        h = np.concatenate([h << np.uint64(1), (h << np.uint64(1)) | np.uint64(1)])
+        cost = np.concatenate([cost + 1, cost + 2])
+    cost = np.concatenate(costs)
+    order = np.argsort(cost, kind="stable")
+    h, cost = np.concatenate(found)[order], cost[order]
+    for k in range(r + 1):
+        highs = h[:np.searchsorted(cost, r - k, side="right")]
+        yield k, (highs << np.uint64(k + 1)) | np.uint64((1 << k) - 1)
 
 
 def _counter_line_keys_in_ball(b: Ball, stage_bound: int | None) -> np.ndarray:
     """Packed keys of half-quasi-line vertices inside an identity ball."""
-    r = b.radius
-    bound = stage_bound if stage_bound is not None else 1 << (r + 1)
     found = [np.array([], dtype=np.uint64)]
-    lo = 0
-    while lo < bound:
-        hi = min(lo + _SCAN_CHUNK, bound)
-        arr = np.arange(lo, hi, dtype=np.uint64)
-        survivors = arr[_stage_lb_origin(arr) <= r]
-        ones = np.bitwise_count(survivors ^ (survivors + np.uint64(1))) - 1
-        for k in _unique(ones).tolist():
-            keys = _unique(_replay_stages(survivors[ones == k], k, r).ravel())
+    for k, stages in _stage_survivors(b.radius):
+        if stage_bound is not None:
+            stages = stages[stages < np.uint64(min(stage_bound, 1 << b.radius))]
+        for lo in range(0, len(stages), _REPLAY_ROWS):
+            keys = _unique(_replay_stages(stages[lo:lo + _REPLAY_ROWS], k, b.radius).ravel())
             found.append(keys[_isin_sorted(keys, b._keys)])
-        lo = hi
     return _unique(np.concatenate(found))
 
 
@@ -358,8 +417,9 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball, stage_bound: int | None =
 def path_in_ball(spec: PathSpec, b: Ball, *, stage_bound: int | None = None) -> set[Configuration]:
     """Exact set of vertices of the (possibly infinite) path in the ball.
 
-    For the infinite kinds the stage enumeration bound defaults to
-    2**(radius+1); stages beyond it sit deeper than the radius.
+    For the infinite kinds every stage that can reach the ball is
+    enumerated (all lie below 2**radius); a stage_bound drops the stages
+    at or above it.
     """
     keys = _path_keys_in_ball(spec, b, stage_bound)
     return {b.unpack(int(k)) for k in keys}
@@ -500,20 +560,25 @@ class Component:
     max_distance_to_obstacle: int | None
 
 
-def _flood(keys: np.ndarray, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]:
-    """Breadth-first levels through a sorted key table.
+def _flood(b: Ball, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]:
+    """Breadth-first levels through the ball's neighbour table.
 
     Yields the start positions, then each level's unseen neighbours, as
-    sorted positions in keys, and marks every yielded position in seen.
+    sorted positions in the key table, and marks every yielded position
+    in seen.
     """
+    tog, link = b._neighbors
     frontier = start
     while len(frontier):
         seen[frontier] = True
         yield frontier
-        cand = _unique(np.concatenate(_neighbor_keys(keys[frontier])))
-        pos = np.searchsorted(keys, cand)
-        pos[pos == len(keys)] = 0
-        frontier = pos[(keys[pos] == cand) & ~seen[pos]]
+        flipped = tog[frontier]
+        cand = np.concatenate([
+            flipped[flipped >= 0],
+            frontier[link[frontier + 1]] + 1,
+            frontier[link[frontier]] - 1,
+        ])
+        frontier = _unique(cand[~seen[cand]])
 
 
 def _ball_bfs_from(b: Ball, source_keys: np.ndarray) -> np.ndarray:
@@ -521,7 +586,7 @@ def _ball_bfs_from(b: Ball, source_keys: np.ndarray) -> np.ndarray:
     unreachable (cannot happen for nonempty sources: balls are connected)."""
     dist = np.full(len(b._keys), -1, dtype=np.int32)
     seen = np.zeros(len(b._keys), dtype=bool)
-    for level, pos in enumerate(_flood(b._keys, np.searchsorted(b._keys, source_keys), seen)):
+    for level, pos in enumerate(_flood(b, np.searchsorted(b._keys, source_keys), seen)):
         dist[pos] = level
     return dist
 
@@ -550,23 +615,28 @@ def _decompose(
     Each component is flooded from the smallest key not yet labelled, so
     component 0 holds the smallest kept key, component 1 the next, and
     so on (canonical configuration order: lamp pattern as a binary
-    value, then cursor).  The seed scan walks the table once, in chunks.
+    value, then cursor).  The seed scan walks the table once, in chunks;
+    each flood level is labelled as it comes.
     """
     keys = b._keys
-    labels = np.full(len(keys), -1, dtype=np.int64)
+    labels = np.full(len(keys), -1, dtype=np.int32)
     seen = removed.copy()
     comps: list[Component] = []
     for lo in range(0, len(keys), _SCAN_CHUNK):
         for start in (lo + np.flatnonzero(~seen[lo:lo + _SCAN_CHUNK])).tolist():
             if seen[start]:
                 continue
-            members = np.concatenate(list(_flood(keys, np.array([start]), seen)))
-            labels[members] = len(comps)
+            size, deepest = 0, 0  # kept positions sit at depth >= 1
+            for level in _flood(b, np.array([start]), seen):
+                labels[level] = len(comps)
+                size += len(level)
+                if depth is not None:
+                    deepest = max(deepest, int(depth[level].max()))
             comps.append(Component(
                 id=len(comps),
-                size=len(members),
+                size=size,
                 representative=b.unpack(keys[start]),
-                max_distance_to_obstacle=None if depth is None else int(depth[members].max()),
+                max_distance_to_obstacle=None if depth is None else deepest,
             ))
     return labels, comps
 
@@ -690,13 +760,24 @@ def separation_report(
     labels, comps = _decompose(b, removed, depth)
     placements = []
     for p, pos in zip((probe_a, probe_b), probe_positions):
-        comp_id = int(labels[pos])
+        dist_val = None
         if spec is not None:
-            d = distance_to_path(p, spec, cap=radius)
+            # the in-ball distance to the obstacle bounds d(p, path) from
+            # above, and a path of length <= R - d(e, p) from p stays in
+            # the ball, so d_ball <= R - d(e, p) + 1 is exact; a stage
+            # bound can leave path vertices out of the obstacle, and
+            # then d_ball is only an upper bound
+            d_ball = None if depth is None else int(depth[pos]) + k_neighborhood
+            if (
+                stage_bound is None
+                and d_ball is not None
+                and d_ball <= radius - int(b._dists[pos]) + 1
+            ):
+                d = d_ball if d_ball <= radius else EXCEEDS
+            else:
+                d = distance_to_path(p, spec, cap=radius)
             dist_val = None if d is EXCEEDS else int(d)
-        else:
-            dist_val = None
-        placements.append(ProbePlacement(p, comp_id, dist_val))
+        placements.append(ProbePlacement(p, int(labels[pos]), dist_val))
     verdict = (
         "separated-in-ball"
         if placements[0].component_id != placements[1].component_id

@@ -16,6 +16,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from collections import deque
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator
 
 
@@ -136,6 +138,32 @@ def word_distance(g: Configuration, h: Configuration) -> int:
         lo = min(lo, min(diff))
         hi = max(hi, max(diff))
     return len(diff) + _travel(lo, hi, g.cursor, h.cursor)
+
+
+@lru_cache(maxsize=32)
+def sphere_sizes(radius: int) -> tuple[int, ...]:
+    """|S(e, d)| for d = 0..radius, counted from the closed form.
+
+    |g| is the lamp count plus the travel over the hull [lo, hi] of 0,
+    the cursor c and the lamps, so the sphere sizes are a sum of
+    binomials over (c, lo, hi, lamp count): a hull end beyond 0 and c
+    must be a lit lamp, every other hull position is free.  This is the
+    counting behind W. Parry's growth series of wreath products
+    (Trans. AMS 331, 1992).
+    """
+    sizes = [0] * (radius + 1)
+    for c in range(-radius, radius + 1):
+        a, z = min(0, c), max(0, c)
+        for lo in range(a, a - radius - 1, -1):
+            for hi in range(z, z + radius + 1):
+                forced = (lo < a) + (hi > z)
+                base = _travel(lo, hi, 0, c) + forced
+                if base > radius:
+                    break  # travel and forced lamps only grow with hi
+                free = hi - lo + 1 - forced
+                for j in range(min(free, radius - base) + 1):
+                    sizes[base + j] += comb(free, j)
+    return tuple(sizes)
 
 
 def neighbors(g: Configuration) -> Iterator[Configuration]:

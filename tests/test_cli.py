@@ -264,6 +264,12 @@ class TestBallCommand:
         assert r.exit_code == 3
         assert "resource limit" in r.stderr
 
+    def test_radius_past_the_packing_window_is_a_usage_error(self, runner, cache_env):
+        r = runner.invoke(main, ["ball", "--radius", "29", "--max-radius", "29"], env=cache_env)
+        assert r.exit_code == 2
+        assert "packing window" in r.stderr
+        assert "Traceback" not in r.output + r.stderr
+
 
 class TestProfileCommand:
     def test_csv_output(self, runner, cache_env):

@@ -37,6 +37,7 @@ from lamplighter import (
 )
 from lamplighter import coarse
 from lamplighter.coarse import PathSpec
+from lamplighter.group import sphere_sizes
 from lamplighter.walks import replay, stage_steps, trailing_ones
 
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
@@ -99,6 +100,20 @@ class TestBall:
         with pytest.raises(ResourceLimitError, match="member cap"):
             ball(IDENTITY, 8, member_cap=100)
 
+    @pytest.mark.parametrize("radius", [12, 20])
+    def test_sphere_count_matches_bfs(self, radius):
+        assert list(sphere_sizes(radius)) == ball(IDENTITY, radius).sphere_sizes()
+
+    def test_member_cap_is_counted_before_any_level(self, monkeypatch):
+        assert ball(IDENTITY, 8, member_cap=490).member_count == 490
+
+        def no_level(keys):
+            raise AssertionError("a BFS level was built before the cap was checked")
+
+        monkeypatch.setattr(coarse, "_neighbor_keys", no_level)
+        with pytest.raises(ResourceLimitError, match=r"ball\(radius=8\) exceeds member cap 489"):
+            ball(IDENTITY, 8, member_cap=489)
+
     def test_closed_form_matches_bfs_at_radius_20(self):
         b = ball(IDENTITY, 20)
         assert b.member_count == 229_735
@@ -135,6 +150,31 @@ class TestPackedKernels:
                     for mask, cursor in coarse._replay_stage_packed(stage, self.OFF)
                 ]
                 assert probe_row == row, stage
+
+    @pytest.mark.parametrize("r", range(23))
+    def test_survivor_enumeration_matches_the_scan(self, r):
+        scan = np.arange(1 << (r + 1), dtype=np.uint64)
+        scan = scan[coarse._stage_lb_origin(scan) <= r]
+        groups = list(coarse._stage_survivors(r))
+        assert [k for k, _ in groups] == list(range(r + 1))
+        for k, stages in groups:
+            assert stages.dtype == np.uint64
+            assert all(trailing_ones(s) == k for s in stages.tolist())
+        assert np.array_equal(np.sort(np.concatenate([s for _, s in groups])), scan)
+
+    def test_neighbor_table_matches_searchsorted(self):
+        b = ball(IDENTITY, 12)
+        keys = b._keys
+        want = []
+        for nbr in coarse._neighbor_keys(keys):
+            pos = np.minimum(np.searchsorted(keys, nbr), len(keys) - 1)
+            want.append(np.where(keys[pos] == nbr, pos, -1))
+        tog, link = b._neighbors
+        assert tog.dtype == np.int32
+        assert np.array_equal(tog, want[0])
+        index = np.arange(len(keys))
+        assert np.array_equal(np.where(link[1:], index + 1, -1), want[1])
+        assert np.array_equal(np.where(link[:-1], index - 1, -1), want[2])
 
     def test_vectorised_replay_matches_stage_steps(self):
         self.assert_replays_match(range(4097))
@@ -424,6 +464,54 @@ class TestSeparationReport:
     def test_probe_inside_obstacle_is_rejected(self):
         with pytest.raises(ProbeInsideObstacleError):
             separation_report(PathSpec("N"), 0, 6, stage_config(3), probes(1).b_n)
+
+    @pytest.mark.parametrize("spec", [PathSpec("N"), PathSpec("R"), PathSpec("I", 2), PathSpec("C", 2)])
+    def test_probe_distances_match_the_sweep(self, spec, monkeypatch):
+        # the report reads d_ball, the in-ball distance to the obstacle,
+        # when d_ball <= R - d(e, v) + 1 and sweeps otherwise; the grid
+        # takes, per (R, K), the kept member with the largest lamp pattern
+        # at gap d_ball - (R - d(e, v)) <= 0, == 1 and == 2
+        sweep = coarse.distance_to_path
+        calls = []
+
+        def counted(v, *args, **kwargs):
+            calls.append(v)
+            return sweep(v, *args, **kwargs)
+
+        monkeypatch.setattr(coarse, "distance_to_path", counted)
+        closed = swept = 0
+        for radius in (12, 13, 14):
+            b = ball(IDENTITY, radius)
+            for k in (0, 1, 2):
+                removed, depth = coarse._neighborhood(b, coarse._path_keys_in_ball(spec, b), k)
+                gap = depth + k - (radius - b._dists.astype(np.int64))
+                inner, edge, beyond = (
+                    b.unpack(b._keys[np.flatnonzero(cls & ~removed)[-1]])
+                    for cls in (gap <= 0, gap == 1, gap == 2)
+                )
+                for pa, pb in ((inner, edge), (beyond, inner)):
+                    before = len(calls)
+                    rep = separation_report(spec, k, radius, pa, pb, prebuilt_ball=b)
+                    assert calls[before:] == ([pa] if pa is beyond else [])
+                    swept += len(calls) - before
+                    closed += 2 - (len(calls) - before)
+                    for probe in rep.probes:
+                        want = sweep(probe.config, spec, cap=radius)
+                        assert probe.distance_to_obstacle == (None if want is EXCEEDS else want)
+        assert (closed, swept) == (27, 9)
+
+    def test_stage_bound_report_always_sweeps(self, monkeypatch):
+        p = probes(2)
+        calls = []
+        sweep = coarse.distance_to_path
+        monkeypatch.setattr(
+            coarse, "distance_to_path", lambda *a, **kw: calls.append(a) or sweep(*a, **kw)
+        )
+        free = separation_report(PathSpec("N"), 0, 12, p.a_n, p.b_n)
+        assert calls == []
+        bounded = separation_report(PathSpec("N"), 0, 12, p.a_n, p.b_n, stage_bound=1 << 12)
+        assert len(calls) == 2
+        assert bounded == free
 
     def test_report_is_json_serializable(self):
         p = probes(1)
