@@ -36,7 +36,6 @@ from .walks import (
     quasi_interval,
     quasi_line,
     stage_walk,
-    trailing_ones,
 )
 
 DEFAULT_MEMBER_CAP = 5_000_000
@@ -312,19 +311,6 @@ def _stage_template(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns
 
 
-def _replay_stage_packed(stage: int, off: int) -> list[tuple[int, int]]:
-    """(lamp mask shifted by off, cursor) for the start of a stage walk
-    and after each template step (a repeat where a gate is clear)."""
-    mask = stage << off
-    out = [(mask, 0)]
-    cursors, lamps, gates = (col.tolist() for col in _stage_template(trailing_ones(stage)))
-    for cursor, lamp, gate in zip(cursors, lamps, gates):
-        if gate == _ALWAYS or (gate >= 0 and (stage >> gate) & 1):
-            mask ^= 1 << (lamp + off)
-        out.append((mask, cursor))
-    return out
-
-
 def _replay_stages(stages: np.ndarray, k: int, off: int) -> np.ndarray:
     """Packed keys of the stage walks of uint64 stages with k trailing ones.
 
@@ -425,29 +411,28 @@ def path_in_ball(spec: PathSpec, b: Ball, *, stage_bound: int | None = None) -> 
     return {b.unpack(int(k)) for k in keys}
 
 
-def _dist_masks(m1: int, c1: int, m2: int, c2: int, off: int) -> int:
-    """word_distance on (mask, cursor) pairs sharing one lamp offset."""
-    x = m1 ^ m2
-    count = x.bit_count()
-    lo = min(c1, c2)
-    hi = max(c1, c2)
-    if x:
-        lo = min(lo, ((x & -x).bit_length() - 1) - off)
-        hi = max(hi, (x.bit_length() - 1) - off)
-    return count + min(
-        (c1 - lo) + (hi - lo) + (hi - c2),
-        (hi - c1) + (hi - lo) + (c2 - lo),
-    )
+def _packed_distance(keys: np.ndarray, off: int, vmask: int, vcur: int) -> np.ndarray:
+    """word_distance from each packed key to the probe (vmask, vcur),
+    whose lamp p sits at bit p + off of vmask as in the keys.
 
-
-_PROBE_OFF = 64
-
-
-def _pack_probe(v: Configuration) -> tuple[int, int]:
-    mask = 0
-    for p in v.lamps:
-        mask |= 1 << (p + _PROBE_OFF)
-    return mask, v.cursor
+    The closed form on the lamp words: one toggle per differing lamp,
+    plus the travel 2 * (hi - lo) - |c - vcur| over the hull [lo, hi] of
+    both cursors and the differing lamps.  The top differing bit is
+    counted from the bit-smeared word: a float64 log2 rounds words near
+    2**57 up a bit.
+    """
+    cur = (keys & _CUR_MASK).astype(np.int64) - off
+    diff = (keys >> np.uint64(_CUR_BITS)) ^ np.uint64(vmask)
+    smear = diff.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        smear |= smear >> np.uint64(shift)
+    lowest = np.bitwise_count(diff ^ (diff - np.uint64(1))).astype(np.int64) - 1 - off
+    top = np.bitwise_count(smear).astype(np.int64) - 1 - off
+    lo, hi = np.minimum(cur, vcur), np.maximum(cur, vcur)
+    lit = diff != 0
+    lo = np.where(lit, np.minimum(lo, lowest), lo)
+    hi = np.where(lit, np.maximum(hi, top), hi)
+    return np.bitwise_count(diff).astype(np.int64) + 2 * (hi - lo) - np.abs(cur - vcur)
 
 
 def _stage_lb_probe(stages: np.ndarray, v: Configuration) -> np.ndarray:
@@ -474,62 +459,54 @@ def _stage_lb_probe(stages: np.ndarray, v: Configuration) -> np.ndarray:
     return hi_mismatch + cursor_gap + below + far
 
 
-def _distance_to_counter_line(v: Configuration, cap: int, stage_budget: int) -> int:
-    """Min distance from v to the half-quasi-line, capped.
+def _distance_to_counter_line(v: Configuration, cap: int) -> int:
+    """Min distance from v to the half-quasi-line when at most cap, else
+    some larger value.
 
-    Ascending stage sweep with a live best value: a stage is skipped when
-    its provable lower bound cannot beat the best, and the sweep stops at
-    the stage bound implied by the best (deeper stages sit too far from
-    the identity to matter).
+    Seeded with d(e, v) and the stage that shows v's lamps at positions
+    >= 0.  Then stages are visited in shells of equal origin bound r =
+    0, 1, ...: every vertex of such a stage lies at least r from the
+    identity, so at least r - d(e, v) from v, and the shells stop past
+    r = d(e, v) + t, where t = min(best - 1, cap) is the largest
+    distance still worth finding.  Within a shell _stage_lb_probe
+    prunes, and the rest are replayed and scored in numpy.  A shell past
+    the packing window raises ResourceLimitError, and so does any shell
+    for a probe with a lamp outside the window: such a probe lies more
+    than _MAX_RADIUS + 1 from the identity, so its shells would get past
+    the window anyway.
     """
-    vmask, vcur = _pack_probe(v)
     d0 = word_distance(IDENTITY, v)
-    best = d0  # the identity is on the line
     plus = sum(1 << p for p in v.lamps if p >= 0)
-    best = min(best, _stage_dist(plus, vmask, vcur))
-
-    def bound() -> int:
-        t = min(best - 1, cap)
-        if t < 0:
-            return 0
-        return 1 << (d0 + t + 1)
-
-    lo = 0
-    while lo < bound():
-        if lo >= stage_budget:
+    best = min(d0, min(word_distance(v, w) for w in stage_walk(plus).vertices))
+    off = _MAX_RADIUS
+    vmask = sum(1 << (p + off) for p in v.lamps if abs(p) <= off)
+    window = off if vmask.bit_count() == len(v.lamps) else -1
+    r = 0
+    while (t := min(best - 1, cap)) >= 0 and r <= d0 + t:
+        if r > window:
             raise ResourceLimitError(
-                f"stage sweep needs {bound()} stages (budget {stage_budget})"
+                f"distance from {v!r} to the half-quasi-line needs stages"
+                f" past the packing window ({_MAX_RADIUS})"
             )
-        hi = min(lo + _SCAN_CHUNK, bound())
-        arr = np.arange(lo, hi, dtype=np.uint64)
-        t = min(best - 1, cap)
-        # a stage that is provably far from the identity is also far
-        # from the probe, up to d(identity, probe)
-        lb = np.maximum(_stage_lb_probe(arr, v), _stage_lb_origin(arr) - d0)
-        for s in arr[lb <= t].tolist():
-            if s >= bound():
-                break
-            d = _stage_dist(s, vmask, vcur)
-            if d < best:
-                best = d
-        lo = hi
+        for k, stages in _stage_survivors(r):
+            stages = stages[_stage_lb_origin(stages) == r]
+            stages = stages[_stage_lb_probe(stages, v) <= t]
+            for lo in range(0, len(stages), _REPLAY_ROWS):
+                keys = _replay_stages(stages[lo:lo + _REPLAY_ROWS], k, off)
+                best = min(best, int(_packed_distance(keys, off, vmask, v.cursor).min()))
+        r += 1
     return best
 
 
-def _stage_dist(stage: int, vmask: int, vcur: int) -> int:
-    """Min distance from a packed probe to any vertex of one stage walk."""
-    return min(
-        _dist_masks(mask, cursor, vmask, vcur, _PROBE_OFF)
-        for mask, cursor in _replay_stage_packed(stage, _PROBE_OFF)
-    )
-
-
-def distance_to_path(v: Configuration, spec: PathSpec, cap: int, *, stage_budget: int = 1 << 26):
+def distance_to_path(v: Configuration, spec: PathSpec, cap: int):
     """Min word distance from v to the path if at most cap, else EXCEEDS.
 
-    The infinite kinds are enumerated with sound truncation; a probe very
-    far from the identity would need an astronomical sweep, which raises
-    ResourceLimitError instead of silently hanging.
+    The infinite kinds visit their stages in ascending distance from the
+    identity and stop once no further stage can come within
+    min(cap, best - 1) of v.  Raises ResourceLimitError when a stage
+    that could still come closer lies past the packing window
+    (d(e, stage) > 28), or when v has a lamp beyond +-28 and is not on
+    the stage that shows its lamps at positions >= 0.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -537,7 +514,7 @@ def distance_to_path(v: Configuration, spec: PathSpec, cap: int, *, stage_budget
         walk = quasi_interval(spec.n) if spec.kind == "I" else quasi_circle(spec.n)
         best = min(word_distance(v, w) for w in walk.vertices)
     else:
-        best = _distance_to_counter_line(v, cap, stage_budget)
+        best = _distance_to_counter_line(v, cap)
         if spec.kind == "R":
             d0 = word_distance(IDENTITY, v)
             limit = min(best - 1, cap)

@@ -343,6 +343,15 @@ class TestSeparateCommand:
         )
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("probe,want", [
+        ('{"cursor":-14,"lamps":[]}', 14),
+        ('{"cursor":13,"lamps":[13]}', 13),
+    ])
+    def test_far_probe_distance(self, runner, cache_env, probe, want):
+        r = run(runner, cache_env, "separate", "--kind", "N", "--radius", "14",
+                "--max-radius", "14", "--probe-a", probe, "--out", "-")
+        assert json.loads(r.output)["probes"][0]["distance_to_obstacle"] == want
+
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, runner, cache_env):

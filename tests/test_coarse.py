@@ -145,11 +145,24 @@ class TestPackedKernels:
                 expected = packed_stage_replay(stage, self.OFF)
                 # a gated toggle with its bit clear repeats a vertex
                 assert drop_repeats(row) == expected, stage
-                probe_row = [
-                    (mask << coarse._CUR_BITS) | (cursor + self.OFF)
-                    for mask, cursor in coarse._replay_stage_packed(stage, self.OFF)
-                ]
-                assert probe_row == row, stage
+
+    def test_packed_distance_matches_word_distance_at_the_window_edge(self):
+        r = coarse._MAX_RADIUS
+        rng = random.Random(5)
+        configs = [
+            Configuration(rng.sample(range(-r, r + 1), rng.randint(0, 2 * r + 1)),
+                          rng.randint(-r, r))
+            for _ in range(300)
+        ]
+        configs += [IDENTITY, Configuration([-r, r], r), Configuration(range(-r, r + 1), -r)]
+        keys = np.array([
+            (sum(1 << (p + r) for p in w.lamps) << coarse._CUR_BITS) | (w.cursor + r)
+            for w in configs
+        ], dtype=np.uint64)
+        for v in configs:
+            vmask = sum(1 << (p + r) for p in v.lamps)
+            got = coarse._packed_distance(keys, r, vmask, v.cursor).tolist()
+            assert got == [word_distance(v, w) for w in configs], v
 
     @pytest.mark.parametrize("r", range(23))
     def test_survivor_enumeration_matches_the_scan(self, r):
@@ -255,7 +268,8 @@ class TestPathInBall:
 
     def test_every_member_is_at_zero_path_distance(self, ball6):
         for v in path_in_ball(PathSpec("N"), ball6):
-            assert distance_to_path(v, PathSpec("N"), 2) == 0
+            for cap in (0, 2):
+                assert distance_to_path(v, PathSpec("N"), cap) == 0, (v, cap)
 
 
 class TestDistanceToPath:
@@ -281,6 +295,8 @@ class TestDistanceToPath:
     def test_on_path_vertices_are_at_zero(self):
         assert distance_to_path(stage_config(5), PathSpec("N"), 4) == 0
         assert distance_to_path(IDENTITY, PathSpec("R"), 4) == 0
+        # past the packing window: only the seed stage can answer
+        assert distance_to_path(stage_config(1 << 40), PathSpec("N"), 4) == 0
 
     def test_cap_miss_returns_sentinel(self):
         assert distance_to_path(Configuration([], -9), PathSpec("N"), 4) is EXCEEDS
@@ -296,10 +312,24 @@ class TestDistanceToPath:
             got = distance_to_path(v, PathSpec("N"), 8)
             assert got == (brute if brute <= 8 else EXCEEDS)
 
-    def test_stage_budget_guard(self):
+    def test_packing_window_guard(self):
         far = Configuration([], 20)
-        with pytest.raises(ResourceLimitError, match="stage"):
-            distance_to_path(far, PathSpec("N"), 40, stage_budget=8)
+        with pytest.raises(ResourceLimitError, match="packing window"):
+            distance_to_path(far, PathSpec("N"), 40)
+        # a lamp past the window: no stage within it can reach the probe
+        for lamps in ([-3, 40], [-40]):
+            with pytest.raises(ResourceLimitError, match="packing window"):
+                distance_to_path(Configuration(lamps, 0), PathSpec("N"), 5)
+
+    @pytest.mark.parametrize("v,want,witness", [
+        (Configuration([], -14), 14, IDENTITY),
+        (Configuration([13], 13), 13, stage_config(1 << 13)),
+    ])
+    def test_far_probes_inside_the_window(self, v, want, witness):
+        # the stages that could come closer all lie within the packing
+        # window, however many stage indices sit below them
+        assert word_distance(v, witness) == want
+        assert distance_to_path(v, PathSpec("N"), 14) == want
 
     @pytest.mark.parametrize("spec", [PathSpec("N"), PathSpec("R"), PathSpec("I", 2), PathSpec("C", 2)])
     def test_matches_ball_bfs_within_the_cap(self, spec):
