@@ -6,6 +6,9 @@ from .group import (
     IDENTITY,
     CodecError,
     Configuration,
+    ProbeInsideObstacleError,
+    ProbeOutsideBallError,
+    ResourceLimitError,
     Step,
     apply_step,
     bfs_ball,
@@ -30,25 +33,6 @@ from .walks import (
     stage_steps,
     stage_walk,
     trailing_ones,
-)
-from .coarse import (
-    Ball,
-    CircleFamilyDistortion,
-    Component,
-    DistortionProfile,
-    PathSpec,
-    ProbeInsideObstacleError,
-    ProbeOutsideBallError,
-    ProbePlacement,
-    ResourceLimitError,
-    SeparationReport,
-    ball,
-    circle_family_distortion,
-    components_after_removal,
-    distance_to_path,
-    distortion_profile,
-    path_in_ball,
-    separation_report,
 )
 
 __all__ = [
@@ -96,3 +80,14 @@ __all__ = [
     "path_in_ball",
     "separation_report",
 ]
+
+
+def __getattr__(name: str):
+    # The names of the ball-local layer load it, and numpy, on first
+    # access (PEP 562), so that walks and the closed-form metric start
+    # without numpy.
+    if name in __all__:
+        from . import coarse
+
+        return getattr(coarse, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,36 +4,34 @@ separation reports, and the verification suite.
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource-limit error.  All outputs are deterministic text; generated
 walks are cached under content-addressed names (kind, n, steps) in
-LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse).
+LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse), each entry written,
+hashed, checked and served in chunks of about 1 MiB at bounded memory.
+The ball-local layer (coarse, and with it numpy) is imported only by
+the commands that use it, so walk, dist and --help start without numpy.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import tempfile
+from contextlib import ExitStack, nullcontext, suppress
 from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator
 
 import click
 
-from .coarse import (
+from .group import (  # not coarse: it loads numpy, which walk, dist and --help never need
     DEFAULT_INDEX_CAP,
     DEFAULT_MEMBER_CAP,
     DEFAULT_RADIUS_CAP,
-    PathSpec,
+    CodecError,
+    Configuration,
     ProbeInsideObstacleError,
     ProbeOutsideBallError,
     ResourceLimitError,
-    ball,
-    check_m_max,
-    circle_family_distortion,
-    distortion_profile,
-    separation_report,
-)
-from .group import (
-    CodecError,
-    Configuration,
     decode_config,
     encode_config,
     encode_vertices,
@@ -57,16 +55,6 @@ def _enforce_cap(value: int, default_cap: int, override: int | None, what: str, 
         )
 
 
-def _write_output(text: str, out: str) -> None:
-    if out == "-":
-        click.echo(text, nl=False)
-        return
-    try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {out}: {exc}")
-
-
 def _resource_exit(exc: ResourceLimitError) -> None:
     click.echo(f"resource limit: {exc}", err=True)
     sys.exit(3)
@@ -74,128 +62,171 @@ def _resource_exit(exc: ResourceLimitError) -> None:
 
 # ---------------------------------------------------------------- walks
 
-def _walk_text(walk: Walk) -> str:
-    header = {"kind": walk.kind, "n": walk.n, "steps": walk.step_count}
-    trailer = {"milestones": dict(walk.milestones)}
-    return "\n".join([  # the empty last item ends the text in a newline without copying it
-        json.dumps(header, separators=(",", ":")),
-        *encode_vertices(walk.start, walk.cursors()),
-        json.dumps(trailer, separators=(",", ":")),
-        "",
-    ])
+# Walk files are built, hashed, checked and served in pieces of about this
+# many bytes, so no command holds a whole walk file in memory.
+_CHUNK = 1 << 20
+
+
+def _line(obj: dict) -> bytes:
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+def _walk_chunks(walk: Walk) -> Iterator[bytes]:
+    """The walk file of a walk: a header line, one vertex per line in
+    batches of about _CHUNK bytes, then the milestones."""
+    yield _line({"kind": walk.kind, "n": walk.n, "steps": walk.step_count})
+    batch, size = [], 0
+    for line in encode_vertices(walk.start, walk.cursors()):
+        batch.append(line)
+        size += len(line)
+        if size >= _CHUNK:
+            batch.append("")  # ends the batch in a newline without copying it
+            yield "\n".join(batch).encode()
+            batch, size = [], 0
+    batch.append("")
+    yield "\n".join(batch).encode() + _line({"milestones": dict(walk.milestones)})
 
 
 def _cache_dir() -> Path:
-    env = os.environ.get("LL_COARSE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "ll-coarse"
-
-
-def _cache_name(kind: str, n: int | None, steps: int) -> str:
-    return f"{kind}-{n if n is not None else 0}-{steps}.walk"
-
-
-def _digest(text: str) -> str:
-    import hashlib  # loads OpenSSL (about 3.5 MB); only the walk cache needs it
-
-    return hashlib.sha256(text.encode()).hexdigest()
+    return Path(os.environ.get("LL_COARSE_CACHE_DIR") or Path.home() / ".cache" / "ll-coarse")
 
 
 def _sidecar(path: Path) -> Path:
-    """Where the sha256 of a cache entry's text is kept."""
+    """Where the sha256 of a cache entry's bytes is kept."""
     return path.with_name(path.name + ".sha256")
 
 
-def _last_line(text: str) -> str:
-    """The last line of a text that ends in a newline, without it."""
-    return text[text.rfind("\n", 0, -1) + 1 : -1]
+def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int | None = None
+                   ) -> Iterator[bytes] | None:
+    """The walk file of a cache entry, or of its first prefix steps, in
+    _CHUNK-byte pieces read from a file that stack closes; None when the
+    entry fails a check.
 
+    One pass of reads checks the sha256 in the sidecar (missing counts
+    as a mismatch), counts lines and finds where the header, the vertex
+    at index prefix and the last vertex end; the header and the trailer
+    are then read back by offset and checked.  A prefix gets a new
+    header and the milestones it reaches."""
+    import hashlib  # loads OpenSSL (about 3.5 MB); only the walk cache needs it
 
-def _validate_walk_text(text: str, kind: str, n: int | None, steps: int) -> bool:
-    # header + vertices + milestones, each line ending in a newline
-    if not text.endswith("\n") or text.count("\n") != steps + 3:
-        return False
     try:
-        header = json.loads(text[: text.index("\n")])
-        trailer = json.loads(_last_line(text))
-    except json.JSONDecodeError:
-        return False
-    if header != {"kind": kind, "n": n, "steps": steps}:
-        return False
-    return isinstance(trailer, dict) and set(trailer) == {"milestones"}
-
-
-def _read_entry(path: Path, kind: str, n: int | None, steps: int) -> str | None:
-    """The text of a cache entry, or None when it does not match the
-    digest in its sidecar (missing counts as a mismatch), the length or
-    the header of the walk it is named for."""
-    try:
-        text = path.read_text()
-        digest = _sidecar(path).read_text().strip()
+        expected = _sidecar(path).read_text().strip()
+        handle = stack.enter_context(path.open("rb"))
     except (OSError, UnicodeDecodeError):
         return None
-    if digest != _digest(text) or not _validate_walk_text(text, kind, n, steps):
-        return None
-    return text
-
-
-def _cache_lookup_exact(kind: str, n: int | None, steps: int) -> str | None:
-    exact = _cache_dir() / _cache_name(kind, n, steps)
-    if exact.is_file():
-        text = _read_entry(exact, kind, n, steps)
-        if text is not None:
-            return text
-        click.echo(f"warning: corrupt cache entry {exact.name}, regenerating", err=True)
-    return None
-
-
-def _cache_lookup_prefix(kind: str, steps: int) -> str | None:
-    """A longer cached half-quasi-line yields the requested prefix
-    (trimmed header, vertices, and milestones): the walk is a
-    prefix-stable sequence.  Only kind N is prefix-stable."""
-    cache = _cache_dir()
-    if kind != "N" or not cache.is_dir():
-        return None
-    candidates = []
-    for path in cache.glob("N-0-*.walk"):
-        try:
-            cached_steps = int(path.stem.split("-")[2])
-        except (IndexError, ValueError):
-            continue
-        if cached_steps > steps:
-            candidates.append((cached_steps, path))
-    for cached_steps, path in sorted(candidates):
-        text = _read_entry(path, "N", None, cached_steps)
-        if text is None:
-            click.echo(f"warning: corrupt cache entry {path.name}, ignoring", err=True)
-            continue
-        lines = text.split("\n", steps + 2)  # header, steps + 1 vertices, the rest
-        header = json.dumps({"kind": "N", "n": None, "steps": steps}, separators=(",", ":"))
-        milestones = json.loads(_last_line(text))["milestones"]
-        trimmed = {k: v for k, v in milestones.items() if v <= steps}
-        trailer = json.dumps({"milestones": trimmed}, separators=(",", ":"))
-        return "\n".join([header, *lines[1 : steps + 2], trailer, ""])
-    return None
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
-def _cache_store(kind: str, n: int | None, steps: int, text: str) -> None:
-    """Store a walk after its digest sidecar, so that a walk is never in
-    place without its digest."""
-    path = _cache_dir() / _cache_name(kind, n, steps)
+    cut = 0 if prefix is None else prefix + 2  # header and prefix + 1 vertices
+    digest, pos, lines, body, cut_at = hashlib.sha256(), 0, 0, 0, 0
+    prev = last = -1  # offsets of the last two newlines
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(_sidecar(path), _digest(text) + "\n")
-        _write_atomic(path, text)
-    except OSError as exc:
-        click.echo(f"warning: cache store failed: {exc}", err=True)
+        while chunk := handle.read(_CHUNK):
+            digest.update(chunk)
+            count = chunk.count(b"\n")
+            if count:
+                body = body or pos + chunk.index(b"\n") + 1
+                if lines < cut <= lines + count:
+                    cut_at = pos + len(chunk) - len(chunk.split(b"\n", cut - lines)[-1])
+                i = chunk.rindex(b"\n")
+                j = chunk.rfind(b"\n", 0, i)
+                prev, last = (pos + j if j >= 0 else last), pos + i
+                lines += count
+            pos += len(chunk)
+        # header, steps + 1 vertices and milestones, each line ending in a newline
+        if digest.hexdigest() != expected or lines != header["steps"] + 3 or last != pos - 1:
+            raise ValueError(path)
+        handle.seek(0)
+        if json.loads(handle.read(body)) != header:
+            raise ValueError(path)
+        handle.seek(prev + 1)
+        trailer = json.loads(handle.read(last - prev))
+        if not isinstance(trailer, dict) or set(trailer) != {"milestones"}:
+            raise ValueError(path)
+    except (OSError, ValueError):  # json and utf-8 errors are ValueErrors
+        handle.close()
+        return None
+    if prefix is None:
+        return _file_chunks(handle, b"", 0, pos, b"")
+    trimmed = {k: v for k, v in trailer["milestones"].items() if v <= prefix}
+    return _file_chunks(handle, _line({**header, "steps": prefix}), body, cut_at,
+                        _line({"milestones": trimmed}))
+
+
+def _file_chunks(handle: BinaryIO, head: bytes, start: int, stop: int, tail: bytes) -> Iterator[bytes]:
+    """head, then the bytes [start, stop) of a file _CHUNK at a time, then tail."""
+    yield head
+    handle.seek(start)
+    while start < stop:
+        chunk = handle.read(min(_CHUNK, stop - start))
+        if not chunk:
+            raise OSError(f"{handle.name} ended at {start}, before {stop}")
+        start += len(chunk)
+        yield chunk
+    yield tail
+
+
+def _prefix_chunks(stack: ExitStack, kind: str, steps: int) -> Iterator[bytes] | None:
+    """The walk file of the first steps steps cut from the shortest
+    longer cached half-quasi-line that checks out: the walk is a
+    prefix-stable sequence.  Only kind N is prefix-stable."""
+    if kind != "N":
+        return None
+    found = ((re.fullmatch(r"N-0-(\d+)\.walk", p.name), p) for p in _cache_dir().glob("N-0-*.walk"))
+    for cached_steps, path in sorted((int(m[1]), p) for m, p in found if m and int(m[1]) > steps):
+        chunks = _cached_chunks(stack, path, {"kind": "N", "n": None, "steps": cached_steps}, steps)
+        if chunks is not None:
+            return chunks
+        click.echo(f"warning: corrupt cache entry {path.name}, ignoring", err=True)
+    return None
+
+
+def _write_output(chunks: Iterable[bytes], out: str, entry: Path | None = None) -> None:
+    """Write the chunks to the output (- for stdout) and, when entry is
+    given, store them in the walk cache on the way: each chunk also goes
+    to a temp file and a sha256, then the sidecar is written and the
+    temp file renamed into place, so an entry is never in place without
+    its digest.  A failed store is a warning."""
+    store = tmp = None
+    try:
+        if entry is not None:
+            import hashlib
+
+            digest = hashlib.sha256()
+            try:
+                entry.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+                store = os.fdopen(fd, "wb")
+            except OSError as exc:
+                click.echo(f"warning: cache store failed: {exc}", err=True)
+        try:
+            with (nullcontext(click.get_binary_stream("stdout")) if out == "-"
+                  else open(out, "wb")) as sink:
+                for chunk in chunks:
+                    sink.write(chunk)
+                    if store is not None:
+                        digest.update(chunk)
+                        try:
+                            store.write(chunk)
+                        except OSError as exc:
+                            click.echo(f"warning: cache store failed: {exc}", err=True)
+                            store.close()
+                            store = None
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {out}: {exc}")
+        if store is not None:
+            try:
+                store.close()
+                with open(tmp + ".sha256", "w") as handle:  # unique beside the unique tmp
+                    handle.write(digest.hexdigest() + "\n")
+                os.replace(tmp + ".sha256", _sidecar(entry))
+                os.replace(tmp, entry)
+                tmp = None
+            except OSError as exc:
+                click.echo(f"warning: cache store failed: {exc}", err=True)
+    finally:
+        if store is not None:
+            store.close()
+        for path in () if tmp is None else (tmp, tmp + ".sha256"):
+            with suppress(OSError):
+                os.unlink(path)
 
 
 def _build_walk(kind: str, n: int | None, steps: int | None) -> Walk:
@@ -235,22 +266,24 @@ def walk(kind: str, n: int | None, steps: int | None, out: str, no_cache: bool) 
             raise click.UsageError(f"kind {kind} needs --n >= 1")
         if steps is not None:
             raise click.UsageError(f"kind {kind} has intrinsic length; drop --steps")
-    if kind in ("I", "C"):
-        built = _build_walk(kind, n, None)
+    built = _build_walk(kind, n, None) if kind in ("I", "C") else None  # intrinsic length
+    if built is not None:
         steps = built.step_count
-        walk_n = n
-    else:
-        built = None
-        walk_n = None
-    text = None if no_cache else _cache_lookup_exact(kind, walk_n, steps)
-    if text is None:
+    header = {"kind": kind, "n": n, "steps": steps}
+    entry = chunks = None
+    with ExitStack() as stack:  # closes the cache entry that the output is read from
         if not no_cache:
-            text = _cache_lookup_prefix(kind, steps)
-        if text is None:
-            text = _walk_text(built if built is not None else _build_walk(kind, None, steps))
-        if not no_cache:
-            _cache_store(kind, walk_n, steps, text)
-    _write_output(text, out)
+            entry = _cache_dir() / f"{kind}-{n or 0}-{steps}.walk"  # content-addressed
+            if entry.is_file():
+                chunks = _cached_chunks(stack, entry, header)
+                if chunks is not None:
+                    _write_output(chunks, out)
+                    return
+                click.echo(f"warning: corrupt cache entry {entry.name}, regenerating", err=True)
+            chunks = _prefix_chunks(stack, kind, steps)
+        if chunks is None:
+            chunks = _walk_chunks(built or _build_walk(kind, None, steps))
+        _write_output(chunks, out, entry)
 
 
 @main.command()
@@ -272,6 +305,7 @@ def dist(from_text: str, to_text: str) -> None:
 @click.option("--member-cap", type=int, default=DEFAULT_MEMBER_CAP, show_default=True)
 def ball_cmd(radius: int, center: str, out: str, max_radius: int | None, member_cap: int) -> None:
     """Enumerate a metric ball: summary header plus one member per line."""
+    from .coarse import ball
     if radius < 0:
         raise click.UsageError("--radius must be nonnegative")
     _enforce_cap(radius, DEFAULT_RADIUS_CAP, max_radius, "radius", "--max-radius")
@@ -294,7 +328,7 @@ def ball_cmd(radius: int, center: str, out: str, max_radius: int | None, member_
             {"d": d, "cursor": cfg.cursor, "lamps": cfg.sorted_lamps()},
             separators=(",", ":"),
         ))
-    _write_output("\n".join(lines) + "\n", out)
+    _write_output([("\n".join(lines) + "\n").encode()], out)
 
 
 @main.command()
@@ -317,6 +351,7 @@ def profile(kind: str | None, n: int | None, index_limit: int, m_max: int,
     Circles are profiled over the whole cycle with the cyclic index
     metric; --index-limit applies to the open kinds.  D(M) is exact over
     all pairs; the cost grows as |B(e, M)| times the walk length."""
+    from .coarse import PathSpec, check_m_max, circle_family_distortion, distortion_profile
     try:
         check_m_max(m_max)
     except ValueError as exc:
@@ -335,7 +370,7 @@ def profile(kind: str | None, n: int | None, index_limit: int, m_max: int,
             _resource_exit(exc)
         except ValueError as exc:
             raise click.UsageError(f"--family: {exc}")
-        _write_output(fam.csv_text(), out)
+        _write_output([fam.csv_text().encode()], out)
         return
     if kind is None:
         raise click.UsageError("need --kind or --family")
@@ -348,7 +383,7 @@ def profile(kind: str | None, n: int | None, index_limit: int, m_max: int,
         _resource_exit(exc)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write_output(prof.csv_text(), out)
+    _write_output([prof.csv_text().encode()], out)
 
 
 @main.command()
@@ -369,6 +404,7 @@ def separate(kind: str, n: int | None, k_neighborhood: int, radius: int,
              probe_n: int | None, probe_a: str | None, probe_b: str | None,
              max_radius: int | None, member_cap: int, out: str) -> None:
     """Remove an obstacle neighborhood from a ball and report components."""
+    from .coarse import PathSpec, separation_report
     _enforce_cap(radius, DEFAULT_RADIUS_CAP, max_radius, "radius", "--max-radius")
     try:
         spec = PathSpec(kind, n)
@@ -391,7 +427,7 @@ def separate(kind: str, n: int | None, k_neighborhood: int, radius: int,
         _resource_exit(exc)
     except (ProbeOutsideBallError, ProbeInsideObstacleError, ValueError) as exc:
         raise click.UsageError(str(exc))
-    _write_output(json.dumps(report.to_dict(), indent=2) + "\n", out)
+    _write_output([(json.dumps(report.to_dict(), indent=2) + "\n").encode()], out)
 
 
 @main.command()

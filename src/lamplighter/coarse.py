@@ -19,10 +19,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .group import (
+from .group import (  # the caps and errors are re-exported from here
+    DEFAULT_INDEX_CAP,
+    DEFAULT_MEMBER_CAP,
+    DEFAULT_RADIUS_CAP,
     EXCEEDS,
     IDENTITY,
     Configuration,
+    ProbeInsideObstacleError,
+    ProbeOutsideBallError,
+    ResourceLimitError,
     compose,
     invert,
     sphere_sizes,
@@ -38,25 +44,9 @@ from .walks import (
     stage_walk,
 )
 
-DEFAULT_MEMBER_CAP = 5_000_000
-DEFAULT_RADIUS_CAP = 12
-DEFAULT_INDEX_CAP = 10_000
-
 _CUR_BITS = 7
 _CUR_MASK = np.uint64((1 << _CUR_BITS) - 1)
 _MAX_RADIUS = 28  # packing limit: 2*28+1 lamp bits + 7 cursor bits < 64
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured resource cap (members, stages) would be exceeded."""
-
-
-class ProbeOutsideBallError(ValueError):
-    """A probe configuration lies outside the requested ball."""
-
-
-class ProbeInsideObstacleError(ValueError):
-    """A probe configuration lies inside the removed obstacle region."""
 
 
 @dataclass(frozen=True)
@@ -271,16 +261,19 @@ def _walk_keys_in_ball(walk_vertices: Iterable[Configuration], b: Ball) -> np.nd
 def _stage_lb_origin(stages: np.ndarray) -> np.ndarray:
     """Provable lower bound for d(identity, v) over vertices v of each stage.
 
-    Bits above the trailing-ones block persist through the stage and the
-    cursor must sweep past the top persistent bit; an all-ones stage
+    Bits above the trailing block of k ones persist through the stage
+    while the cursor stays within [-k, k], so from the identity the
+    cursor goes out to the top persistent bit T and back to at least -k:
+    popcount of the persistent bits plus 2T - k.  An all-ones stage
     keeps at least one lamp lit at all times while reaching its top bit.
     """
     s = stages.astype(np.uint64)
     low = s ^ (s + np.uint64(1))
+    k = np.bitwise_count(low).astype(np.int64) - 1
     high = s & ~low
     hi_cnt = np.bitwise_count(high).astype(np.int64)
     top = np.frexp(s.astype(np.float64))[1] - 1  # floor(log2 s), -1 at s=0
-    return np.where(high > 0, hi_cnt + top, top + 1)
+    return np.where(high > 0, hi_cnt + 2 * top - k, top + 1)
 
 
 _MOVE = -2  # template gate of a cursor move: no lamp toggles
@@ -346,19 +339,19 @@ def _stage_survivors(r: int) -> Iterator[tuple[int, np.ndarray]]:
 
     Such a stage is s = (H << (k + 1)) | (2**k - 1) with origin bound
     _stage_lb_origin(s) = cost(H) + k, where cost(H) = popcount(H) +
-    bitlen(H).  Appending a low bit to H adds 1 (a 0) or 2 (a 1) to its
-    cost, so the H of cost at most r grow one bit at a time, a branch
+    2 * bitlen(H).  Appending a low bit to H adds 2 (a 0) or 3 (a 1) to
+    its cost, so the H of cost at most r grow one bit at a time, a branch
     stopping at cost > r; each k then takes those of cost at most r - k.
     """
     found, costs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.int64)]
-    h, cost = np.ones(1, dtype=np.uint64), np.full(1, 2, dtype=np.int64)
+    h, cost = np.ones(1, dtype=np.uint64), np.full(1, 3, dtype=np.int64)
     while len(h):
         keep = cost <= r
         h, cost = h[keep], cost[keep]
         found.append(h)
         costs.append(cost)
         h = np.concatenate([h << np.uint64(1), (h << np.uint64(1)) | np.uint64(1)])
-        cost = np.concatenate([cost + 1, cost + 2])
+        cost = np.concatenate([cost + 2, cost + 3])
     cost = np.concatenate(costs)
     order = np.argsort(cost, kind="stable")
     h, cost = np.concatenate(found)[order], cost[order]
@@ -625,12 +618,7 @@ def components_after_removal(b: Ball, removed: Iterable[Configuration]) -> list[
     maximum ball-graph distance from the removed set; None when nothing
     was removed.
     """
-    removed_list = [b.pack(v) for v in removed]
-    removed_keys = np.array(
-        sorted(k for k in removed_list if k is not None), dtype=np.uint64
-    )
-    removed_keys = removed_keys[_isin_sorted(removed_keys, b._keys)]
-    return _decompose(b, *_neighborhood(b, removed_keys, 0))[1]
+    return _decompose(b, *_neighborhood(b, _walk_keys_in_ball(removed, b), 0))[1]
 
 
 @dataclass(frozen=True)

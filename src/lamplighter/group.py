@@ -193,32 +193,27 @@ def bfs_ball(center: Configuration, radius: int) -> dict[Configuration, int]:
     return dist
 
 
-def bfs_distance(g: Configuration, h: Configuration, cap: int):
-    """Breadth-first distance from g to h, giving up beyond cap.
-
-    Returns the exact distance if it is at most cap, else EXCEEDS.
-    EXCEEDS is a value, not an error.
-    """
-    if g == h:
-        return 0
-    dist = {g: 0}
-    frontier = deque([g])
-    while frontier:
-        x = frontier.popleft()
-        d = dist[x]
-        if d == cap:
-            continue
-        for nb in neighbors(x):
-            if nb not in dist:
-                if nb == h:
-                    return d + 1
-                dist[nb] = d + 1
-                frontier.append(nb)
-    return EXCEEDS
-
-
 class CodecError(ValueError):
     """Rejected configuration text, with a position when one makes sense."""
+
+
+# Caps and errors of the ball-local layer: coarse re-exports them, and the
+# CLI reads them here without loading numpy.
+DEFAULT_MEMBER_CAP = 5_000_000
+DEFAULT_RADIUS_CAP = 12
+DEFAULT_INDEX_CAP = 10_000
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured resource cap (members, stages) would be exceeded."""
+
+
+class ProbeOutsideBallError(ValueError):
+    """A probe configuration lies outside the requested ball."""
+
+
+class ProbeInsideObstacleError(ValueError):
+    """A probe configuration lies inside the removed obstacle region."""
 
 
 def encode_config(g: Configuration) -> str:
@@ -229,14 +224,13 @@ def encode_config(g: Configuration) -> str:
     )
 
 
-def encode_vertices(start: Configuration, cursors: Iterable[int]) -> list[str]:
+def encode_vertices(start: Configuration, cursors: Iterable[int]) -> Iterator[str]:
     """encode_config of each vertex of a walk, from its start and the
     cursor at each vertex (a repeated cursor means that the step toggled
     the lamp under it), without building a Configuration per vertex."""
     lamps = sorted(start.lamps)
     words = list(map(str, lamps))  # each lamp's text, kept with the lamp
     shown = ",".join(words)
-    lines = []
     prev = None
     for cursor in cursors:
         if cursor == prev:
@@ -248,8 +242,7 @@ def encode_vertices(start: Configuration, cursors: Iterable[int]) -> list[str]:
                 words.insert(i, str(cursor))
             shown = ",".join(words)
         prev = cursor
-        lines.append('{"cursor":%d,"lamps":[%s]}' % (cursor, shown))
-    return lines
+        yield '{"cursor":%d,"lamps":[%s]}' % (cursor, shown)
 
 
 def _require_int(value, what: str) -> int:

@@ -161,18 +161,6 @@ def mirror_steps(steps: Iterable[Step]) -> tuple[Step, ...]:
     return tuple(_MIRROR[s] for s in steps)
 
 
-def mirror_walk(walk: Walk) -> Walk:
-    """The left-right reflected walk from the same start.  An involution."""
-    return Walk.from_steps(
-        walk.start,
-        mirror_steps(walk.steps),
-        dict(walk.milestones),
-        kind=walk.kind,
-        n=walk.n,
-        closed=walk.closed,
-    )
-
-
 def half_quasi_line(num_steps: int) -> Walk:
     """The first num_steps steps of the concatenated stage walks.
 

@@ -1,7 +1,11 @@
 """CLI layer: command output formats, cache behavior, exit codes."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,9 +18,11 @@ from lamplighter import (
     cli,
     distortion_profile,
     encode_config,
+    half_quasi_line,
     quasi_circle,
     verify,
 )
+from lamplighter import coarse
 from lamplighter.cli import main
 
 WALK_N12 = """\
@@ -105,7 +111,7 @@ def reference_walk_text(walk):
 )
 def test_walk_text_matches_the_vertices(kind, n, steps):
     walk = cli._build_walk(kind, n, steps)
-    lines = cli._walk_text(walk).splitlines(keepends=True)
+    lines = b"".join(cli._walk_chunks(walk)).decode().splitlines(keepends=True)
     expected = reference_walk_text(walk).splitlines(keepends=True)
     assert len(lines) == len(expected)
     wrong = [i for i, (a, b) in enumerate(zip(lines, expected)) if a != b]
@@ -212,9 +218,160 @@ class TestWalkCache:
         assert "corrupt" in r.stderr
         assert "N-0-12.walk.sha256" in os.listdir(self.cache_dir(cache_env))
 
+    def test_entry_is_not_placed_without_its_digest(self, runner, cache_env, monkeypatch):
+        replace = os.replace
+
+        def failing_sidecar(src, dst):
+            if str(dst).endswith(".sha256"):
+                raise OSError("no space left")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", failing_sidecar)
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert "cache store failed: no space left" in r.stderr
+        assert os.listdir(self.cache_dir(cache_env)) == []  # no entry and no temp file
+
     def test_no_cache_flag_skips_storage(self, runner, cache_env):
         run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--no-cache", "--out", "-")
         assert not os.path.exists(os.path.join(self.cache_dir(cache_env), "N-0-12.walk"))
+
+
+class TestWalkCacheChunks:
+    """Entries are built, hashed, checked and served in cli._CHUNK-byte
+    pieces; chunks of a few bytes put a boundary inside every line."""
+
+    @pytest.fixture(params=[1, 7, 64], ids=["chunk1", "chunk7", "chunk64"])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK", request.param)
+        return request.param
+
+    def walk(self, runner, env, steps, *extra):
+        return run(runner, env, "walk", "--kind", "N", "--steps", str(steps), *extra)
+
+    def entry(self, env, steps):
+        return os.path.join(env["LL_COARSE_CACHE_DIR"], f"N-0-{steps}.walk")
+
+    def assert_regenerated(self, runner, env, steps):
+        r = self.walk(runner, env, steps)
+        assert r.stdout == reference_walk_text(half_quasi_line(steps))
+        assert f"corrupt cache entry N-0-{steps}.walk" in r.stderr
+        with open(self.entry(env, steps)) as fh:
+            assert fh.read() == r.stdout
+
+    def test_miss_and_exact_hit(self, runner, cache_env, chunk):
+        want = reference_walk_text(half_quasi_line(200))
+        assert self.walk(runner, cache_env, 200).stdout == want
+        hit = self.walk(runner, cache_env, 200)
+        assert hit.stdout == want
+        assert hit.stderr == ""
+
+    def test_prefix_hit(self, runner, cache_env, chunk):
+        self.walk(runner, cache_env, 200)
+        r = self.walk(runner, cache_env, 12)
+        assert r.stdout == WALK_N12 == reference_walk_text(half_quasi_line(12))
+        with open(self.entry(cache_env, 12)) as fh:
+            assert fh.read() == WALK_N12
+        assert self.walk(runner, cache_env, 12).stdout == WALK_N12  # the new entry checks out
+
+    def test_prefix_hit_with_a_trailer_over_several_chunks(self, runner, cache_env, chunk):
+        self.walk(runner, cache_env, 3000)
+        with open(self.entry(cache_env, 3000), "rb") as fh:
+            trailer = fh.read().splitlines()[-1]
+        assert len(trailer) > 2 * chunk
+        r = self.walk(runner, cache_env, 2999)
+        assert r.stdout == reference_walk_text(half_quasi_line(2999))
+        assert r.stderr == ""
+
+    def test_overwritten_interior_vertex(self, runner, cache_env, chunk):
+        self.walk(runner, cache_env, 12)
+        TestWalkCache().overwrite_vertex(cache_env, "N-0-12.walk", 6)
+        self.assert_regenerated(runner, cache_env, 12)
+
+    def test_undecodable_bytes(self, runner, cache_env, chunk):
+        self.walk(runner, cache_env, 12)
+        with open(self.entry(cache_env, 12), "wb") as fh:
+            fh.write(b"\xff\xfe\n")
+        self.assert_regenerated(runner, cache_env, 12)
+
+    def replace_entry(self, env, steps, data):
+        """Overwrite an entry and its sidecar, so that its digest matches."""
+        path = self.entry(env, steps)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with open(path + ".sha256", "w") as fh:
+            fh.write(hashlib.sha256(data).hexdigest() + "\n")
+
+    def test_undecodable_header_under_a_matching_digest(self, runner, cache_env, chunk):
+        self.walk(runner, cache_env, 12)
+        self.replace_entry(cache_env, 12, b"\xff\xfe" + WALK_N12[WALK_N12.index("\n"):].encode())
+        self.assert_regenerated(runner, cache_env, 12)
+
+    def test_unterminated_last_line_under_a_matching_digest(self, runner, cache_env, chunk):
+        self.walk(runner, cache_env, 12)
+        self.replace_entry(cache_env, 12, WALK_N12.encode() + b"junk")  # same line count
+        self.assert_regenerated(runner, cache_env, 12)
+
+    def test_missing_sidecar(self, runner, cache_env, chunk):
+        self.walk(runner, cache_env, 12)
+        os.remove(self.entry(cache_env, 12) + ".sha256")
+        self.assert_regenerated(runner, cache_env, 12)
+
+    def test_no_cache(self, runner, cache_env, chunk):
+        r = self.walk(runner, cache_env, 200, "--no-cache")
+        assert r.stdout == reference_walk_text(half_quasi_line(200))
+        assert not os.path.exists(cache_env["LL_COARSE_CACHE_DIR"])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("args", [
+    ["walk", "--kind", "N", "--steps", "12", "--no-cache"],
+    ["dist", "--from", '{"cursor":0,"lamps":[]}', "--to", '{"cursor":2,"lamps":[0,1]}'],
+    ["--help"],
+], ids=["walk", "dist", "help"])
+def test_starts_without_numpy(args, tmp_path):
+    code = (
+        "import sys\n"
+        "from lamplighter.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:], prog_name='ll-coarse')\n"
+        "finally:\n"
+        "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LL_COARSE_CACHE_DIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+    assert done.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_package_names_resolve_on_first_use():
+    import lamplighter
+
+    assert callable(lamplighter.ball)
+    from lamplighter import separation_report
+
+    assert separation_report is coarse.separation_report
+    assert lamplighter.ResourceLimitError is coarse.ResourceLimitError
+    assert lamplighter.__all__ == PACKAGE_NAMES
+    assert all(getattr(lamplighter, name) is not None for name in lamplighter.__all__)
+    with pytest.raises(AttributeError):
+        lamplighter.no_such_name
+
+
+PACKAGE_NAMES = """
+EXCEEDS IDENTITY CodecError Configuration Step apply_step bfs_ball compose
+decode_config dyadic_views encode_config generator invert neighbors word_distance
+ProbeSet Walk half_quasi_line probes quasi_circle quasi_interval quasi_line
+stage_config stage_steps stage_walk trailing_ones Ball CircleFamilyDistortion
+Component DistortionProfile PathSpec ProbeInsideObstacleError ProbeOutsideBallError
+ProbePlacement ResourceLimitError SeparationReport ball circle_family_distortion
+components_after_removal distance_to_path distortion_profile path_in_ball
+separation_report
+""".split()
 
 
 class TestDistCommand:
@@ -316,8 +473,8 @@ class TestProfileCommand:
         def exhausted(*args, **kwargs):
             raise ResourceLimitError("ball(radius=4) exceeds member cap 10")
 
-        monkeypatch.setattr(cli, "distortion_profile", exhausted)
-        monkeypatch.setattr(cli, "circle_family_distortion", exhausted)
+        monkeypatch.setattr(coarse, "distortion_profile", exhausted)
+        monkeypatch.setattr(coarse, "circle_family_distortion", exhausted)
         for args in (["--kind", "N"], ["--family", "1"]):
             r = runner.invoke(main, ["profile", *args, "--m-max", "4"], env=cache_env)
             assert r.exit_code == 3

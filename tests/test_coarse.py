@@ -33,6 +33,7 @@ from lamplighter import (
     quasi_line,
     separation_report,
     stage_config,
+    stage_walk,
     word_distance,
 )
 from lamplighter import coarse
@@ -163,6 +164,13 @@ class TestPackedKernels:
             vmask = sum(1 << (p + r) for p in v.lamps)
             got = coarse._packed_distance(keys, r, vmask, v.cursor).tolist()
             assert got == [word_distance(v, w) for w in configs], v
+
+    def test_origin_bound_is_below_every_stage_vertex(self):
+        bound = coarse._stage_lb_origin(np.arange(1 << 12, dtype=np.uint64)).tolist()
+        nearest = [min(word_distance(IDENTITY, w) for w in stage_walk(n).vertices)
+                   for n in range(1 << 12)]
+        assert [n for n in range(1 << 12) if bound[n] > nearest[n]] == []
+        assert sum(b == d for b, d in zip(bound, nearest)) == 2049  # tight on these
 
     @pytest.mark.parametrize("r", range(23))
     def test_survivor_enumeration_matches_the_scan(self, r):

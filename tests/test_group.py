@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamplighter import (
-    EXCEEDS,
     IDENTITY,
     CodecError,
     Configuration,
@@ -24,7 +23,6 @@ from lamplighter import (
     stage_config,
     word_distance,
 )
-from lamplighter.group import bfs_distance
 
 configs = st.builds(
     Configuration,
@@ -147,17 +145,6 @@ class TestWordDistance:
 
 
 class TestBfsDistance:
-    def test_zero(self):
-        assert bfs_distance(IDENTITY, IDENTITY, 0) == 0
-
-    def test_small(self):
-        assert bfs_distance(IDENTITY, Configuration([1], 0), 5) == 3
-
-    def test_exceeds_is_a_value(self):
-        out = bfs_distance(IDENTITY, Configuration([], 100), 5)
-        assert out is EXCEEDS
-        assert "exceeds" in repr(out).lower()
-
     def test_ball_sizes(self):
         assert [len(bfs_ball(IDENTITY, r)) for r in range(4)] == [1, 4, 10, 22]
 

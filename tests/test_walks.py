@@ -8,7 +8,6 @@ from lamplighter import (
     IDENTITY,
     Configuration,
     Step,
-    Walk,
     half_quasi_line,
     probes,
     quasi_circle,
@@ -19,7 +18,7 @@ from lamplighter import (
     trailing_ones,
     word_distance,
 )
-from lamplighter.walks import mirror_steps, mirror_walk, replay
+from lamplighter.walks import mirror_steps, replay
 
 T, R, L = Step.TOGGLE, Step.RIGHT, Step.LEFT
 
@@ -115,13 +114,6 @@ class TestMirror:
     @given(st.lists(st.sampled_from([T, R, L]), max_size=40))
     def test_involution(self, steps):
         assert mirror_steps(mirror_steps(steps)) == tuple(steps)
-
-    def test_mirror_walk_reflects_vertices(self):
-        w = Walk.from_steps(IDENTITY, [T, R, T, R])
-        m = mirror_walk(w)
-        for v, mv in zip(w.vertices, m.vertices):
-            assert mv.cursor == -v.cursor
-            assert mv.lamps == frozenset(-p for p in v.lamps)
 
 
 class TestQuasiLine:
