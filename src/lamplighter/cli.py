@@ -18,6 +18,7 @@ import re
 import sys
 import tempfile
 from contextlib import ExitStack, nullcontext, suppress
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -71,20 +72,28 @@ def _line(obj: dict) -> bytes:
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
 
 
-def _walk_chunks(walk: Walk) -> Iterator[bytes]:
-    """The walk file of a walk: a header line, one vertex per line in
-    batches of about _CHUNK bytes, then the milestones."""
-    yield _line({"kind": walk.kind, "n": walk.n, "steps": walk.step_count})
+def _batches(lines: Iterable[str]) -> Iterator[bytes]:
+    """Text lines (without their newlines) in batches of about _CHUNK
+    bytes, each line ending in a newline."""
     batch, size = [], 0
-    for line in encode_vertices(walk.start, walk.cursors()):
+    for line in lines:
         batch.append(line)
         size += len(line)
         if size >= _CHUNK:
             batch.append("")  # ends the batch in a newline without copying it
             yield "\n".join(batch).encode()
             batch, size = [], 0
-    batch.append("")
-    yield "\n".join(batch).encode() + _line({"milestones": dict(walk.milestones)})
+    if batch:
+        batch.append("")
+        yield "\n".join(batch).encode()
+
+
+def _walk_chunks(walk: Walk) -> Iterator[bytes]:
+    """The walk file of a walk: a header line, one vertex per line in
+    batches of about _CHUNK bytes, then the milestones."""
+    yield _line({"kind": walk.kind, "n": walk.n, "steps": walk.step_count})
+    yield from _batches(encode_vertices(walk.start, walk.cursors()))
+    yield _line({"milestones": dict(walk.milestones)})
 
 
 def _cache_dir() -> Path:
@@ -322,13 +331,12 @@ def ball_cmd(radius: int, center: str, out: str, max_radius: int | None, member_
         "members": b.member_count,
         "sphere_sizes": b.sphere_sizes(),
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    for cfg, d in b.items():
-        lines.append(json.dumps(
-            {"d": d, "cursor": cfg.cursor, "lamps": cfg.sorted_lamps()},
-            separators=(",", ":"),
-        ))
-    _write_output([("\n".join(lines) + "\n").encode()], out)
+    members = (
+        '{"d":%d,"cursor":%d,"lamps":[%s]}'
+        % (d, cfg.cursor, ",".join(map(str, cfg.sorted_lamps())))
+        for cfg, d in b.items()
+    )
+    _write_output(chain([_line(header)], _batches(members)), out)
 
 
 @main.command()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -258,24 +258,6 @@ def _walk_keys_in_ball(walk_vertices: Iterable[Configuration], b: Ball) -> np.nd
     return arr[_isin_sorted(arr, b._keys)]
 
 
-def _stage_lb_origin(stages: np.ndarray) -> np.ndarray:
-    """Provable lower bound for d(identity, v) over vertices v of each stage.
-
-    Bits above the trailing block of k ones persist through the stage
-    while the cursor stays within [-k, k], so from the identity the
-    cursor goes out to the top persistent bit T and back to at least -k:
-    popcount of the persistent bits plus 2T - k.  An all-ones stage
-    keeps at least one lamp lit at all times while reaching its top bit.
-    """
-    s = stages.astype(np.uint64)
-    low = s ^ (s + np.uint64(1))
-    k = np.bitwise_count(low).astype(np.int64) - 1
-    high = s & ~low
-    hi_cnt = np.bitwise_count(high).astype(np.int64)
-    top = np.frexp(s.astype(np.float64))[1] - 1  # floor(log2 s), -1 at s=0
-    return np.where(high > 0, hi_cnt + 2 * top - k, top + 1)
-
-
 _MOVE = -2  # template gate of a cursor move: no lamp toggles
 _ALWAYS = -1  # template gate of a toggle that every stage makes
 
@@ -333,39 +315,42 @@ _SCAN_CHUNK = 1 << 18
 _REPLAY_ROWS = 1 << 14
 
 
-def _stage_survivors(r: int) -> Iterator[tuple[int, np.ndarray]]:
-    """For k = 0..r, the stages with k trailing ones that can reach
-    B(e, r), as uint64, every one of them below 2**r.
+def _stage_shells() -> Iterator[tuple[int, int, np.ndarray]]:
+    """The half-quasi-line stages by origin bound, in shells r = 0, 1,
+    ...: (r, k, stages) for each k with stages in shell r, as uint64.
+    Unbounded; a consumer stops at the shell it needs.
 
-    Such a stage is s = (H << (k + 1)) | (2**k - 1) with origin bound
-    _stage_lb_origin(s) = cost(H) + k, where cost(H) = popcount(H) +
-    2 * bitlen(H).  Appending a low bit to H adds 2 (a 0) or 3 (a 1) to
-    its cost, so the H of cost at most r grow one bit at a time, a branch
-    stopping at cost > r; each k then takes those of cost at most r - k.
+    The bits of H in a stage s = (H << (k + 1)) | (2**k - 1) persist
+    while the cursor stays within [-k, k], so a path from the identity
+    to a vertex of the stage lights each of them, reaches the top one at
+    T = bitlen(H) + k and ends at a cursor <= k: it is at least r =
+    popcount(H) + 2T - k = cost(H) + k long, with cost(H) = popcount(H) +
+    2 * bitlen(H) (at H = 0 the stage keeps a lamp lit while it reaches
+    bit k - 1, so r = k).  Every stage of shell r lies below 2**r.  A low
+    0 bit adds 2 to the cost of H and a 1 bit 3, so the H of cost c are
+    those of cost c - 2 and c - 3 shifted left, the latter with a 1.
     """
-    found, costs = [np.zeros(1, dtype=np.uint64)], [np.zeros(1, dtype=np.int64)]
-    h, cost = np.ones(1, dtype=np.uint64), np.full(1, 3, dtype=np.int64)
-    while len(h):
-        keep = cost <= r
-        h, cost = h[keep], cost[keep]
-        found.append(h)
-        costs.append(cost)
-        h = np.concatenate([h << np.uint64(1), (h << np.uint64(1)) | np.uint64(1)])
-        cost = np.concatenate([cost + 2, cost + 3])
-    cost = np.concatenate(costs)
-    order = np.argsort(cost, kind="stable")
-    h, cost = np.concatenate(found)[order], cost[order]
-    for k in range(r + 1):
-        highs = h[:np.searchsorted(cost, r - k, side="right")]
-        yield k, (highs << np.uint64(k + 1)) | np.uint64((1 << k) - 1)
+    one = np.uint64(1)
+    empty = np.zeros(0, dtype=np.uint64)
+    highs = [np.zeros(1, dtype=np.uint64), empty, empty]  # the H of each cost
+    for r in count():
+        if r >= 3:
+            highs.append(np.concatenate([highs[r - 2] << one, (highs[r - 3] << one) | one]))
+        for k in range(r + 1):
+            if len(highs[r - k]):
+                yield r, k, (highs[r - k] << np.uint64(k + 1)) | np.uint64((1 << k) - 1)
 
 
-def _counter_line_keys_in_ball(b: Ball, stage_bound: int | None) -> np.ndarray:
+def _counter_line_keys_in_ball(b: Ball) -> np.ndarray:
     """Packed keys of half-quasi-line vertices inside an identity ball."""
+    groups: dict[int, list[np.ndarray]] = {}
+    for r, k, stages in _stage_shells():
+        if r > b.radius:
+            break
+        groups.setdefault(k, []).append(stages)
     found = [np.array([], dtype=np.uint64)]
-    for k, stages in _stage_survivors(b.radius):
-        if stage_bound is not None:
-            stages = stages[stages < np.uint64(min(stage_bound, 1 << b.radius))]
+    for k, parts in groups.items():
+        stages = np.concatenate(parts)
         for lo in range(0, len(stages), _REPLAY_ROWS):
             keys = _unique(_replay_stages(stages[lo:lo + _REPLAY_ROWS], k, b.radius).ravel())
             found.append(keys[_isin_sorted(keys, b._keys)])
@@ -377,7 +362,7 @@ def _ray_vertices(max_index: int) -> list[Configuration]:
     return quasi_line(max_index, 0).vertices[:-1]  # drop the identity
 
 
-def _path_keys_in_ball(spec: PathSpec | None, b: Ball, stage_bound: int | None = None) -> np.ndarray:
+def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
     if spec is None:
         return np.array([], dtype=np.uint64)
     if b.center != IDENTITY:
@@ -385,7 +370,7 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball, stage_bound: int | None =
     if spec.kind in ("I", "C"):
         walk = quasi_interval(spec.n) if spec.kind == "I" else quasi_circle(spec.n)
         return _walk_keys_in_ball(walk.vertices, b)
-    line = _counter_line_keys_in_ball(b, stage_bound)
+    line = _counter_line_keys_in_ball(b)
     if spec.kind == "N":
         return line
     # quasi-line: the ray anchor i sits at distance 2i, interpolants at 2i+1
@@ -393,14 +378,13 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball, stage_bound: int | None =
     return _unique(np.concatenate([line, ray]))
 
 
-def path_in_ball(spec: PathSpec, b: Ball, *, stage_bound: int | None = None) -> set[Configuration]:
+def path_in_ball(spec: PathSpec, b: Ball) -> set[Configuration]:
     """Exact set of vertices of the (possibly infinite) path in the ball.
 
     For the infinite kinds every stage that can reach the ball is
-    enumerated (all lie below 2**radius); a stage_bound drops the stages
-    at or above it.
+    enumerated (all lie below 2**radius).
     """
-    keys = _path_keys_in_ball(spec, b, stage_bound)
+    keys = _path_keys_in_ball(spec, b)
     return {b.unpack(int(k)) for k in keys}
 
 
@@ -428,28 +412,21 @@ def _packed_distance(keys: np.ndarray, off: int, vmask: int, vcur: int) -> np.nd
     return np.bitwise_count(diff).astype(np.int64) + 2 * (hi - lo) - np.abs(cur - vcur)
 
 
-def _stage_lb_probe(stages: np.ndarray, v: Configuration) -> np.ndarray:
-    """Provable lower bound for d(v, vertex of stage s), vectorized over s.
+def _stage_lb_probe(stages: np.ndarray, off: int, vmask: int, vcur: int) -> np.ndarray:
+    """Provable lower bound for d(v, vertex of stage s), vectorized over
+    s, for the probe (vmask, vcur) with lamp p at bit p + off of vmask.
 
     During stage s the lamps above the trailing block equal the bits of
     s, stage lamps never go below -k, and the cursor stays within
     [-k, k]; every resulting forced mismatch or forced travel is a cost.
     """
-    s = stages.astype(np.uint64)
-    low = s ^ (s + np.uint64(1))
+    one = np.uint64(1)
+    low = stages ^ (stages + one)
     k = np.bitwise_count(low).astype(np.int64) - 1
-    vmask = np.uint64(0)
-    far = 0
-    for p in v.lamps:
-        if 0 <= p < 58:
-            vmask |= np.uint64(1 << p)
-        elif p >= 58:
-            far += 1  # beyond any stage bit in range: always a mismatch
-    hi_mismatch = np.bitwise_count((s ^ vmask) & ~low).astype(np.int64)
-    cursor_gap = np.maximum(0, abs(v.cursor) - k)
-    neg = np.array(sorted(p for p in v.lamps if p < 0), dtype=np.int64)
-    below = np.searchsorted(neg, -k) if len(neg) else np.zeros(len(k), dtype=np.int64)
-    return hi_mismatch + cursor_gap + below + far
+    word = np.uint64(vmask)
+    hi_mismatch = np.bitwise_count((stages ^ (word >> np.uint64(off))) & ~low)
+    below = np.bitwise_count(word & ((one << (off - k).astype(np.uint64)) - one))
+    return hi_mismatch.astype(np.int64) + np.maximum(0, abs(vcur) - k) + below
 
 
 def _distance_to_counter_line(v: Configuration, cap: int) -> int:
@@ -457,8 +434,8 @@ def _distance_to_counter_line(v: Configuration, cap: int) -> int:
     some larger value.
 
     Seeded with d(e, v) and the stage that shows v's lamps at positions
-    >= 0.  Then stages are visited in shells of equal origin bound r =
-    0, 1, ...: every vertex of such a stage lies at least r from the
+    >= 0.  Then the stage shells are visited in ascending origin bound
+    r: every vertex of a stage of shell r lies at least r from the
     identity, so at least r - d(e, v) from v, and the shells stop past
     r = d(e, v) + t, where t = min(best - 1, cap) is the largest
     distance still worth finding.  Within a shell _stage_lb_probe
@@ -474,20 +451,19 @@ def _distance_to_counter_line(v: Configuration, cap: int) -> int:
     off = _MAX_RADIUS
     vmask = sum(1 << (p + off) for p in v.lamps if abs(p) <= off)
     window = off if vmask.bit_count() == len(v.lamps) else -1
-    r = 0
-    while (t := min(best - 1, cap)) >= 0 and r <= d0 + t:
+    for r, k, stages in _stage_shells():
+        t = min(best - 1, cap)
+        if t < 0 or r > d0 + t:
+            break
         if r > window:
             raise ResourceLimitError(
                 f"distance from {v!r} to the half-quasi-line needs stages"
                 f" past the packing window ({_MAX_RADIUS})"
             )
-        for k, stages in _stage_survivors(r):
-            stages = stages[_stage_lb_origin(stages) == r]
-            stages = stages[_stage_lb_probe(stages, v) <= t]
-            for lo in range(0, len(stages), _REPLAY_ROWS):
-                keys = _replay_stages(stages[lo:lo + _REPLAY_ROWS], k, off)
-                best = min(best, int(_packed_distance(keys, off, vmask, v.cursor).min()))
-        r += 1
+        stages = stages[_stage_lb_probe(stages, off, vmask, v.cursor) <= t]
+        for lo in range(0, len(stages), _REPLAY_ROWS):
+            keys = _replay_stages(stages[lo:lo + _REPLAY_ROWS], k, off)
+            best = min(best, int(_packed_distance(keys, off, vmask, v.cursor).min()))
     return best
 
 
@@ -693,7 +669,6 @@ def separation_report(
     *,
     member_cap: int = DEFAULT_MEMBER_CAP,
     prebuilt_ball: Ball | None = None,
-    stage_bound: int | None = None,
 ) -> SeparationReport:
     """Remove the K-neighborhood of a path from a ball and place probes.
 
@@ -708,7 +683,7 @@ def separation_report(
     )
     if b.radius != radius or b.center != IDENTITY:
         raise ValueError("prebuilt ball does not match the requested radius")
-    obstacle_keys = _path_keys_in_ball(spec, b, stage_bound)
+    obstacle_keys = _path_keys_in_ball(spec, b)
     removed, depth = _neighborhood(b, obstacle_keys, k_neighborhood)
 
     probe_positions = []
@@ -729,15 +704,9 @@ def separation_report(
         if spec is not None:
             # the in-ball distance to the obstacle bounds d(p, path) from
             # above, and a path of length <= R - d(e, p) from p stays in
-            # the ball, so d_ball <= R - d(e, p) + 1 is exact; a stage
-            # bound can leave path vertices out of the obstacle, and
-            # then d_ball is only an upper bound
+            # the ball, so d_ball <= R - d(e, p) + 1 is exact
             d_ball = None if depth is None else int(depth[pos]) + k_neighborhood
-            if (
-                stage_bound is None
-                and d_ball is not None
-                and d_ball <= radius - int(b._dists[pos]) + 1
-            ):
+            if d_ball is not None and d_ball <= radius - int(b._dists[pos]) + 1:
                 d = d_ball if d_ball <= radius else EXCEEDS
             else:
                 d = distance_to_path(p, spec, cap=radius)
@@ -811,16 +780,17 @@ def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ..
         prev = cursor
         cur = cursor - c_min
         index[mask | cur] = i
-        # g's lamp q, held at bit q + m_max of g_mask, lands on lamp
-        # q + cursor of the translate
+        # g's lamp q, held at bit q + m_max of its ball key, lands on
+        # lamp q + cursor of the translate
         packed.append((mask, cursor - base - m_max + c_bits, cur))
     get = index.get
     best = [0] * (m_max + 1)
-    for g, d in b.items():
-        if d == 0 or g.cursor < 0:
+    for key, d in zip(b._keys.tolist(), b._dists.tolist()):
+        g_cursor = (key & int(_CUR_MASK)) - m_max
+        if d == 0 or g_cursor < 0:
             continue
-        g_mask = sum(1 << (q + m_max) for q in g.lamps)
-        hits = map(get, [(m ^ (g_mask << s)) | (c + g.cursor) for m, s, c in packed])
+        g_mask = key >> _CUR_BITS
+        hits = map(get, [(m ^ (g_mask << s)) | (c + g_cursor) for m, s, c in packed])
         gaps = [abs(i - j) for i, j in enumerate(hits) if j is not None]
         if cyclic:
             gaps = [min(gap, n - gap) for gap in gaps]

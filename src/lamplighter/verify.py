@@ -121,18 +121,23 @@ def _check_line_well_formed() -> tuple[bool, str]:
 
 def _check_stage_depth() -> tuple[bool, str]:
     worst = math.inf
-    for n in range(1, 4097):
+    near = []  # (vertex, distance from e) of the stages below 2**10
+    for n in range(4097):
+        dists = [(v, word_distance(IDENTITY, v)) for v in stage_walk(n).vertices]
+        if n < 1 << 10:
+            near.append(dists)
+        if n == 0:
+            continue
         floor_log = n.bit_length() - 1
-        low = min(word_distance(IDENTITY, v) for v in stage_walk(n).vertices)
+        low = min(d for _, d in dists)
         if low < floor_log:
             return False, f"stage {n}: min distance {low} < floor(log2)={floor_log}"
         worst = min(worst, low - floor_log)
+    # the enumeration against a brute replay of every stage below 2**(r+2)
     stable = True
     for r in range(1, 9):
-        b = ball(IDENTITY, r)
-        base = path_in_ball(PathSpec("N"), b, stage_bound=1 << (r + 1))
-        wide = path_in_ball(PathSpec("N"), b, stage_bound=1 << (r + 2))
-        stable = stable and base == wide
+        brute = {v for dists in near[:1 << (r + 2)] for v, d in dists if d <= r}
+        stable = stable and path_in_ball(PathSpec("N"), ball(IDENTITY, r)) == brute
     return stable, (
         f"stages 1..4096 all >= floor(log2), min slack {int(worst)}; "
         f"path_in_ball stage-bound stable for r<=8: {stable}"

@@ -2,12 +2,43 @@
 
 Each criterion appears as one parametrized test so the pytest report shows
 one pass/fail line per check; the check's own summary line is printed for
-the record.
+the record.  Each check's detail line is also pinned byte for byte: it is
+what `ll-coarse verify` prints, so a change to it is a change of output.
 """
 
 import pytest
 
 from lamplighter.verify import check_ids, run_checks
+
+FROZEN_DETAILS = {
+    "1-metric-oracle": "B(e,8): 490 members, 0 mismatches",
+    "2-group-laws": "10000 random triples, 0 failures",
+    "3-line-well-formed": (
+        "100001 vertices distinct=True, milestones c0..c4096 in order,"
+        " 4097/4097 equal stage configs"
+    ),
+    "4-stage-depth": (
+        "stages 1..4096 all >= floor(log2), min slack 1;"
+        " path_in_ball stage-bound stable for r<=8: True"
+    ),
+    "5-line-distortion": "D(0..4)=[0, 1, 6, 31, 32], monotone=True, 2000 vs 4000 equal=True",
+    "6-line-separation": (
+        "n=2@R12:separated-in-ball,d=(2,2) n=3@R17:separated-in-ball,d=(3,3)"
+        " n=4@R22:separated-in-ball,d=(4,4)"
+    ),
+    "7-quasi-line": "simple=True, D(0..4)=[0, 7, 8, 31, 32] stable=True, separation@R12=separated-in-ball",
+    "8-intervals-circles": " ".join(
+        f"n={n}:simple=True,mirror=True,end=True,d=({n},{n}),I/C sep=True" for n in (1, 2, 3)
+    ),
+    "9-circle-family": (
+        "h{1..5}=[0, 13, 46, 117, 266] == h{1..4}=[0, 13, 46, 117, 266]: True;"
+        " h{1..3} M<=3 [0, 13, 46, 117] agrees: True"
+    ),
+    "10-determinism-codec": (
+        "codec round-trip on 155 members: 0 failures;"
+        " repeated profile runs byte-identical: True"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -20,3 +51,8 @@ def test_criterion(results, check_id):
     result = results[check_id]
     print(result.line())
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("check_id", check_ids())
+def test_detail_is_frozen(results, check_id):
+    assert results[check_id].detail == FROZEN_DETAILS[check_id]

@@ -402,6 +402,21 @@ class TestBallCommand:
         assert lines[1] == '{"d":2,"cursor":-2,"lamps":[]}'
         assert len(lines) == 11
 
+    def test_members_stream_in_batches(self, runner, cache_env, monkeypatch):
+        sizes = []
+        write = cli._write_output
+        monkeypatch.setattr(cli, "_write_output", lambda chunks, out, entry=None: write(
+            (sizes.append(len(chunk)) or chunk for chunk in chunks), out, entry))
+        r = run(runner, cache_env, "ball", "--radius", "16", "--max-radius", "16", "--out", "-")
+        b = coarse.ball(coarse.IDENTITY, 16)
+        header = json.dumps({"center": {"cursor": 0, "lamps": []}, "radius": 16,
+                             "members": len(b), "sphere_sizes": b.sphere_sizes()},
+                            separators=(",", ":"))
+        members = [json.dumps({"d": d, "cursor": g.cursor, "lamps": g.sorted_lamps()},
+                              separators=(",", ":")) for g, d in b.items()]
+        assert r.stdout_bytes == ("\n".join([header, *members]) + "\n").encode()
+        assert len(sizes) > 2 and max(sizes) < 2 * cli._CHUNK  # header, then batches
+
     def test_center_option(self, runner, cache_env):
         r = run(runner, cache_env, "ball", "--radius", "1",
                 "--center", '{"cursor":3,"lamps":[]}', "--out", "-")

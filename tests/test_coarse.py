@@ -57,6 +57,21 @@ def all_pairs_profile(vertices, cyclic, m_max):
 
 
 @pytest.fixture(scope="module")
+def shells_by_scan():
+    """The stages below 2**23 by origin bound popcount(H) + 2 * bitlen(H)
+    + k, for the bounds below 23, by a plain scan: every stage of bound r
+    lies below 2**r."""
+    found = [[] for _ in range(23)]
+    for s in range(1 << 23):
+        k = (s ^ (s + 1)).bit_length() - 1
+        h = s >> (k + 1)
+        r = h.bit_count() + 2 * h.bit_length() + k
+        if r < 23:
+            found[r].append(s)
+    return found
+
+
+@pytest.fixture(scope="module")
 def ball6():
     return ball(IDENTITY, 6)
 
@@ -166,22 +181,34 @@ class TestPackedKernels:
             assert got == [word_distance(v, w) for w in configs], v
 
     def test_origin_bound_is_below_every_stage_vertex(self):
-        bound = coarse._stage_lb_origin(np.arange(1 << 12, dtype=np.uint64)).tolist()
+        bound = {}
+        for r, _, stages in coarse._stage_shells():
+            bound.update(dict.fromkeys(stages[stages < 1 << 12].tolist(), r))
+            if len(bound) == 1 << 12:
+                break
         nearest = [min(word_distance(IDENTITY, w) for w in stage_walk(n).vertices)
                    for n in range(1 << 12)]
         assert [n for n in range(1 << 12) if bound[n] > nearest[n]] == []
-        assert sum(b == d for b, d in zip(bound, nearest)) == 2049  # tight on these
+        assert sum(bound[n] == d for n, d in enumerate(nearest)) == 2049  # tight on these
 
     @pytest.mark.parametrize("r", range(23))
-    def test_survivor_enumeration_matches_the_scan(self, r):
-        scan = np.arange(1 << (r + 1), dtype=np.uint64)
-        scan = scan[coarse._stage_lb_origin(scan) <= r]
-        groups = list(coarse._stage_survivors(r))
-        assert [k for k, _ in groups] == list(range(r + 1))
-        for k, stages in groups:
-            assert stages.dtype == np.uint64
-            assert all(trailing_ones(s) == k for s in stages.tolist())
-        assert np.array_equal(np.sort(np.concatenate([s for _, s in groups])), scan)
+    def test_survivor_enumeration_matches_the_scan(self, r, shells_by_scan):
+        shell = []
+        for q, _, stages in coarse._stage_shells():
+            if q > r:
+                break
+            if q == r:
+                shell += stages.tolist()
+        assert sorted(shell) == shells_by_scan[r]
+
+    def test_shell_stages_lie_below_two_to_the_r_with_k_trailing_ones(self):
+        seen = []
+        for r, k, stages in itertools.takewhile(lambda item: item[0] <= 24, coarse._stage_shells()):
+            assert stages.dtype == np.uint64 and len(stages)
+            assert int(stages.max()) < 1 << r, (r, k)
+            assert all(trailing_ones(s) == k for s in stages.tolist()), (r, k)
+            seen.append((r, k))
+        assert seen == sorted(seen) and len(set(seen)) == len(seen)
 
     def test_neighbor_table_matches_searchsorted(self):
         b = ball(IDENTITY, 12)
@@ -269,10 +296,6 @@ class TestPathInBall:
             (PathSpec("C", n), quasi_circle(n)),
         ):
             assert path_in_ball(spec, ball6) == brute_members(walk.vertices, ball6)
-
-    def test_stage_bound_does_not_change_members(self, ball6):
-        base = path_in_ball(PathSpec("N"), ball6)
-        assert path_in_ball(PathSpec("N"), ball6, stage_bound=1 << 14) == base
 
     def test_every_member_is_at_zero_path_distance(self, ball6):
         for v in path_in_ball(PathSpec("N"), ball6):
@@ -537,19 +560,6 @@ class TestSeparationReport:
                         want = sweep(probe.config, spec, cap=radius)
                         assert probe.distance_to_obstacle == (None if want is EXCEEDS else want)
         assert (closed, swept) == (27, 9)
-
-    def test_stage_bound_report_always_sweeps(self, monkeypatch):
-        p = probes(2)
-        calls = []
-        sweep = coarse.distance_to_path
-        monkeypatch.setattr(
-            coarse, "distance_to_path", lambda *a, **kw: calls.append(a) or sweep(*a, **kw)
-        )
-        free = separation_report(PathSpec("N"), 0, 12, p.a_n, p.b_n)
-        assert calls == []
-        bounded = separation_report(PathSpec("N"), 0, 12, p.a_n, p.b_n, stage_bound=1 << 12)
-        assert len(calls) == 2
-        assert bounded == free
 
     def test_report_is_json_serializable(self):
         p = probes(1)
