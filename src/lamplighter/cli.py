@@ -38,7 +38,7 @@ from .group import (  # not coarse: it loads numpy, which walk, dist and --help 
     encode_vertices,
     word_distance,
 )
-from .walks import Walk, half_quasi_line, probes, quasi_circle, quasi_interval, quasi_line
+from .walks import Walk, path_walk, probes
 
 
 def _parse_config(text: str, flag: str) -> Configuration:
@@ -238,17 +238,6 @@ def _write_output(chunks: Iterable[bytes], out: str, entry: Path | None = None) 
                 os.unlink(path)
 
 
-def _build_walk(kind: str, n: int | None, steps: int | None) -> Walk:
-    if kind == "N":
-        return half_quasi_line(steps)
-    if kind == "R":
-        neg = steps // 4
-        return quasi_line(neg, steps - 2 * neg)
-    if kind == "I":
-        return quasi_interval(n)
-    return quasi_circle(n)
-
-
 # ---------------------------------------------------------------- commands
 
 @click.group()
@@ -275,7 +264,7 @@ def walk(kind: str, n: int | None, steps: int | None, out: str, no_cache: bool) 
             raise click.UsageError(f"kind {kind} needs --n >= 1")
         if steps is not None:
             raise click.UsageError(f"kind {kind} has intrinsic length; drop --steps")
-    built = _build_walk(kind, n, None) if kind in ("I", "C") else None  # intrinsic length
+    built = path_walk(kind, n) if kind in ("I", "C") else None  # intrinsic length
     if built is not None:
         steps = built.step_count
     header = {"kind": kind, "n": n, "steps": steps}
@@ -291,7 +280,7 @@ def walk(kind: str, n: int | None, steps: int | None, out: str, no_cache: bool) 
                 click.echo(f"warning: corrupt cache entry {entry.name}, regenerating", err=True)
             chunks = _prefix_chunks(stack, kind, steps)
         if chunks is None:
-            chunks = _walk_chunks(built or _build_walk(kind, None, steps))
+            chunks = _walk_chunks(built or path_walk(kind, steps=steps))
         _write_output(chunks, out, entry)
 
 

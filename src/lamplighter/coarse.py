@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, count
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,15 +34,7 @@ from .group import (  # the caps and errors are re-exported from here
     sphere_sizes,
     word_distance,
 )
-from .walks import (
-    Walk,
-    half_quasi_line,
-    probes,
-    quasi_circle,
-    quasi_interval,
-    quasi_line,
-    stage_walk,
-)
+from .walks import Walk, path_walk, quasi_line, stage_walk
 
 _CUR_BITS = 7
 _CUR_MASK = np.uint64((1 << _CUR_BITS) - 1)
@@ -315,10 +307,9 @@ _SCAN_CHUNK = 1 << 18
 _REPLAY_ROWS = 1 << 14
 
 
-def _stage_shells() -> Iterator[tuple[int, int, np.ndarray]]:
-    """The half-quasi-line stages by origin bound, in shells r = 0, 1,
-    ...: (r, k, stages) for each k with stages in shell r, as uint64.
-    Unbounded; a consumer stops at the shell it needs.
+def _line_stages(radius: int) -> dict[int, np.ndarray]:
+    """The half-quasi-line stages with origin bound at most radius, as
+    uint64, keyed by their number k of trailing ones.
 
     The bits of H in a stage s = (H << (k + 1)) | (2**k - 1) persist
     while the cursor stays within [-k, k], so a path from the identity
@@ -326,34 +317,37 @@ def _stage_shells() -> Iterator[tuple[int, int, np.ndarray]]:
     T = bitlen(H) + k and ends at a cursor <= k: it is at least r =
     popcount(H) + 2T - k = cost(H) + k long, with cost(H) = popcount(H) +
     2 * bitlen(H) (at H = 0 the stage keeps a lamp lit while it reaches
-    bit k - 1, so r = k).  Every stage of shell r lies below 2**r.  A low
+    bit k - 1, so r = k).  Every stage of bound r lies below 2**r.  A low
     0 bit adds 2 to the cost of H and a 1 bit 3, so the H of cost c are
     those of cost c - 2 and c - 3 shifted left, the latter with a 1.
     """
     one = np.uint64(1)
     empty = np.zeros(0, dtype=np.uint64)
     highs = [np.zeros(1, dtype=np.uint64), empty, empty]  # the H of each cost
-    for r in count():
-        if r >= 3:
-            highs.append(np.concatenate([highs[r - 2] << one, (highs[r - 3] << one) | one]))
-        for k in range(r + 1):
-            if len(highs[r - k]):
-                yield r, k, (highs[r - k] << np.uint64(k + 1)) | np.uint64((1 << k) - 1)
+    for c in range(3, radius + 1):
+        highs.append(np.concatenate([highs[c - 2] << one, (highs[c - 3] << one) | one]))
+    stages = {}
+    for k in range(radius + 1):
+        h = np.concatenate(highs[:radius - k + 1])
+        stages[k] = (h << np.uint64(k + 1)) | np.uint64((1 << k) - 1)
+    return stages
+
+
+def _line_keys(radius: int, off: int) -> Iterator[np.ndarray]:
+    """_replay_stages rows of every stage of _line_stages(radius), with
+    lamp p at bit p + off, _REPLAY_ROWS stages at a time.  Needs off >=
+    radius and radius + off < 64 - _CUR_BITS."""
+    for k, stages in _line_stages(radius).items():
+        for lo in range(0, len(stages), _REPLAY_ROWS):
+            yield _replay_stages(stages[lo:lo + _REPLAY_ROWS], k, off)
 
 
 def _counter_line_keys_in_ball(b: Ball) -> np.ndarray:
     """Packed keys of half-quasi-line vertices inside an identity ball."""
-    groups: dict[int, list[np.ndarray]] = {}
-    for r, k, stages in _stage_shells():
-        if r > b.radius:
-            break
-        groups.setdefault(k, []).append(stages)
     found = [np.array([], dtype=np.uint64)]
-    for k, parts in groups.items():
-        stages = np.concatenate(parts)
-        for lo in range(0, len(stages), _REPLAY_ROWS):
-            keys = _unique(_replay_stages(stages[lo:lo + _REPLAY_ROWS], k, b.radius).ravel())
-            found.append(keys[_isin_sorted(keys, b._keys)])
+    for rows in _line_keys(b.radius, b.radius):
+        keys = _unique(rows.ravel())
+        found.append(keys[_isin_sorted(keys, b._keys)])
     return _unique(np.concatenate(found))
 
 
@@ -368,8 +362,7 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
     if b.center != IDENTITY:
         raise ValueError("path enumeration requires a ball centered at the identity")
     if spec.kind in ("I", "C"):
-        walk = quasi_interval(spec.n) if spec.kind == "I" else quasi_circle(spec.n)
-        return _walk_keys_in_ball(walk.vertices, b)
+        return _walk_keys_in_ball(path_walk(spec.kind, spec.n).vertices, b)
     line = _counter_line_keys_in_ball(b)
     if spec.kind == "N":
         return line
@@ -412,76 +405,55 @@ def _packed_distance(keys: np.ndarray, off: int, vmask: int, vcur: int) -> np.nd
     return np.bitwise_count(diff).astype(np.int64) + 2 * (hi - lo) - np.abs(cur - vcur)
 
 
-def _stage_lb_probe(stages: np.ndarray, off: int, vmask: int, vcur: int) -> np.ndarray:
-    """Provable lower bound for d(v, vertex of stage s), vectorized over
-    s, for the probe (vmask, vcur) with lamp p at bit p + off of vmask.
-
-    During stage s the lamps above the trailing block equal the bits of
-    s, stage lamps never go below -k, and the cursor stays within
-    [-k, k]; every resulting forced mismatch or forced travel is a cost.
-    """
-    one = np.uint64(1)
-    low = stages ^ (stages + one)
-    k = np.bitwise_count(low).astype(np.int64) - 1
-    word = np.uint64(vmask)
-    hi_mismatch = np.bitwise_count((stages ^ (word >> np.uint64(off))) & ~low)
-    below = np.bitwise_count(word & ((one << (off - k).astype(np.uint64)) - one))
-    return hi_mismatch.astype(np.int64) + np.maximum(0, abs(vcur) - k) + below
-
-
 def _distance_to_counter_line(v: Configuration, cap: int) -> int:
     """Min distance from v to the half-quasi-line when at most cap, else
     some larger value.
 
     Seeded with d(e, v) and the stage that shows v's lamps at positions
-    >= 0.  Then the stage shells are visited in ascending origin bound
-    r: every vertex of a stage of shell r lies at least r from the
-    identity, so at least r - d(e, v) from v, and the shells stop past
-    r = d(e, v) + t, where t = min(best - 1, cap) is the largest
-    distance still worth finding.  Within a shell _stage_lb_probe
-    prunes, and the rest are replayed and scored in numpy.  A shell past
-    the packing window raises ResourceLimitError, and so does any shell
-    for a probe with a lamp outside the window: such a probe lies more
-    than _MAX_RADIUS + 1 from the identity, so its shells would get past
-    the window anyway.
+    >= 0.  Every vertex of a stage with origin bound r lies at least r
+    from the identity, so at least r - d(e, v) from v; with t = min(best
+    - 1, cap), the largest distance still worth finding, only the stages
+    of bound <= d(e, v) + t can come closer.  Those within the packing
+    window are replayed once and scored in numpy.  If after that a
+    distance t >= 0 could still be found past the window (d(e, v) + t >
+    _MAX_RADIUS), ResourceLimitError is raised.  A probe with a lamp
+    outside the window lies more than _MAX_RADIUS from the identity, so
+    it raises unless the seed finds it on the line; its lamp word cannot
+    be packed, so it skips the replay.
     """
     d0 = word_distance(IDENTITY, v)
     plus = sum(1 << p for p in v.lamps if p >= 0)
     best = min(d0, min(word_distance(v, w) for w in stage_walk(plus).vertices))
     off = _MAX_RADIUS
-    vmask = sum(1 << (p + off) for p in v.lamps if abs(p) <= off)
-    window = off if vmask.bit_count() == len(v.lamps) else -1
-    for r, k, stages in _stage_shells():
-        t = min(best - 1, cap)
-        if t < 0 or r > d0 + t:
-            break
-        if r > window:
-            raise ResourceLimitError(
-                f"distance from {v!r} to the half-quasi-line needs stages"
-                f" past the packing window ({_MAX_RADIUS})"
-            )
-        stages = stages[_stage_lb_probe(stages, off, vmask, v.cursor) <= t]
-        for lo in range(0, len(stages), _REPLAY_ROWS):
-            keys = _replay_stages(stages[lo:lo + _REPLAY_ROWS], k, off)
+    t = min(best - 1, cap)
+    if t >= 0 and all(abs(p) <= off for p in v.lamps):
+        vmask = sum(1 << (p + off) for p in v.lamps)
+        for keys in _line_keys(min(d0 + t, off), off):
             best = min(best, int(_packed_distance(keys, off, vmask, v.cursor).min()))
+        t = min(best - 1, cap)
+    if t >= 0 and d0 + t > _MAX_RADIUS:
+        raise ResourceLimitError(
+            f"distance from {v!r} to the half-quasi-line needs stages"
+            f" past the packing window ({_MAX_RADIUS})"
+        )
     return best
 
 
 def distance_to_path(v: Configuration, spec: PathSpec, cap: int):
     """Min word distance from v to the path if at most cap, else EXCEEDS.
 
-    The infinite kinds visit their stages in ascending distance from the
-    identity and stop once no further stage can come within
-    min(cap, best - 1) of v.  Raises ResourceLimitError when a stage
-    that could still come closer lies past the packing window
-    (d(e, stage) > 28), or when v has a lamp beyond +-28 and is not on
-    the stage that shows its lamps at positions >= 0.
+    The infinite kinds replay, in a single pass, every stage whose origin
+    bound is at most d(e, v) + min(cap, best - 1), where best is the
+    distance to the stage that shows v's lamps at positions >= 0.
+    Raises ResourceLimitError when a stage that could still come closer
+    lies past the packing window (d(e, stage) > 28), or when v has a lamp
+    beyond +-28 and is not on the stage that shows its lamps at
+    positions >= 0.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if spec.kind in ("I", "C"):
-        walk = quasi_interval(spec.n) if spec.kind == "I" else quasi_circle(spec.n)
-        best = min(word_distance(v, w) for w in walk.vertices)
+        best = min(word_distance(v, w) for w in path_walk(spec.kind, spec.n).vertices)
     else:
         best = _distance_to_counter_line(v, cap)
         if spec.kind == "R":
@@ -807,18 +779,12 @@ def check_m_max(m_max: int) -> None:
 def _profile_walk(spec: PathSpec, index_limit: int) -> tuple[Walk, int, str]:
     """The walk to profile, how many of its vertices to join, and the
     index metric."""
-    if spec.kind == "N":
-        return half_quasi_line(index_limit), index_limit + 1, "linear"
-    if spec.kind == "R":
-        neg = index_limit // 4
-        return quasi_line(neg, index_limit - 2 * neg), index_limit + 1, "linear"
-    if spec.kind == "I":
-        walk = quasi_interval(spec.n)
-        return walk, min(index_limit, walk.step_count) + 1, "linear"
-    # circles are always profiled whole, without the repeated base:
-    # truncating a cycle breaks the cyclic gap metric
-    walk = quasi_circle(spec.n)
-    return walk, walk.step_count, "cyclic"
+    walk = path_walk(spec.kind, spec.n, index_limit)
+    if spec.kind == "C":
+        # circles are always profiled whole, without the repeated base:
+        # truncating a cycle breaks the cyclic gap metric
+        return walk, walk.step_count, "cyclic"
+    return walk, min(index_limit, walk.step_count) + 1, "linear"
 
 
 def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> DistortionProfile:

@@ -262,6 +262,23 @@ def quasi_circle(n: int) -> Walk:
     )
 
 
+def path_walk(kind: str, n: int | None = None, steps: int | None = None) -> Walk:
+    """The walk of a path kind: the first steps steps of the
+    half-quasi-line (N) or of the quasi-line with a quarter of them on
+    the negative ray (R), or the whole quasi-interval (I) or quasi-circle
+    (C) at scale n."""
+    if kind == "N":
+        return half_quasi_line(steps)
+    if kind == "R":
+        neg = steps // 4
+        return quasi_line(neg, steps - 2 * neg)
+    if kind == "I":
+        return quasi_interval(n)
+    if kind == "C":
+        return quasi_circle(n)
+    raise ValueError(f"unknown path kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class ProbeSet:
     """The four probe configurations used in separation experiments."""

@@ -24,6 +24,7 @@ from lamplighter import (
 )
 from lamplighter import coarse
 from lamplighter.cli import main
+from lamplighter.walks import path_walk
 
 WALK_N12 = """\
 {"kind":"N","n":null,"steps":12}
@@ -110,7 +111,7 @@ def reference_walk_text(walk):
     ids=["N5000", "R400", "R2000", "I1", "I2", "I3", "C1", "C2", "C3"],
 )
 def test_walk_text_matches_the_vertices(kind, n, steps):
-    walk = cli._build_walk(kind, n, steps)
+    walk = path_walk(kind, n, steps)
     lines = b"".join(cli._walk_chunks(walk)).decode().splitlines(keepends=True)
     expected = reference_walk_text(walk).splitlines(keepends=True)
     assert len(lines) == len(expected)

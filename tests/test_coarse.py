@@ -181,9 +181,11 @@ class TestPackedKernels:
             assert got == [word_distance(v, w) for w in configs], v
 
     def test_origin_bound_is_below_every_stage_vertex(self):
-        bound = {}
-        for r, _, stages in coarse._stage_shells():
-            bound.update(dict.fromkeys(stages[stages < 1 << 12].tolist(), r))
+        bound = {}  # the first radius whose enumeration holds the stage
+        for r in itertools.count():
+            for stages in coarse._line_stages(r).values():
+                for n in stages[stages < 1 << 12].tolist():
+                    bound.setdefault(n, r)
             if len(bound) == 1 << 12:
                 break
         nearest = [min(word_distance(IDENTITY, w) for w in stage_walk(n).vertices)
@@ -193,22 +195,18 @@ class TestPackedKernels:
 
     @pytest.mark.parametrize("r", range(23))
     def test_survivor_enumeration_matches_the_scan(self, r, shells_by_scan):
-        shell = []
-        for q, _, stages in coarse._stage_shells():
-            if q > r:
-                break
-            if q == r:
-                shell += stages.tolist()
-        assert sorted(shell) == shells_by_scan[r]
+        got = sorted(s for stages in coarse._line_stages(r).values() for s in stages.tolist())
+        assert got == sorted(s for shell in shells_by_scan[:r + 1] for s in shell)
 
     def test_shell_stages_lie_below_two_to_the_r_with_k_trailing_ones(self):
-        seen = []
-        for r, k, stages in itertools.takewhile(lambda item: item[0] <= 24, coarse._stage_shells()):
-            assert stages.dtype == np.uint64 and len(stages)
-            assert int(stages.max()) < 1 << r, (r, k)
-            assert all(trailing_ones(s) == k for s in stages.tolist()), (r, k)
-            seen.append((r, k))
-        assert seen == sorted(seen) and len(set(seen)) == len(seen)
+        for r in range(25):
+            line = coarse._line_stages(r)
+            assert list(line) == list(range(r + 1))  # 2**k - 1 has bound k
+            for k, stages in line.items():
+                assert stages.dtype == np.uint64 and len(stages)
+                assert int(stages.max()) < 1 << r, (r, k)
+                assert all(trailing_ones(s) == k for s in stages.tolist()), (r, k)
+                assert len(set(stages.tolist())) == len(stages), (r, k)
 
     def test_neighbor_table_matches_searchsorted(self):
         b = ball(IDENTITY, 12)
@@ -361,6 +359,18 @@ class TestDistanceToPath:
         # window, however many stage indices sit below them
         assert word_distance(v, witness) == want
         assert distance_to_path(v, PathSpec("N"), 14) == want
+
+    @pytest.mark.parametrize("spec", [PathSpec("N"), PathSpec("R")])
+    def test_window_is_judged_after_the_replay(self, spec):
+        # a line vertex 23 from e whose seed stage is 11 away: the seed
+        # alone would ask for stages out to 23 + 10 > 28, but the replay
+        # within the window finds the vertex itself
+        v = Configuration([-5, 1, 2, 3, 4], 0)
+        plus = stage_walk(0b11110).vertices
+        assert word_distance(IDENTITY, v) == 23
+        assert min(word_distance(v, w) for w in plus) == 11
+        assert v in stage_walk(31).vertices
+        assert distance_to_path(v, spec, 28) == 0
 
     @pytest.mark.parametrize("spec", [PathSpec("N"), PathSpec("R"), PathSpec("I", 2), PathSpec("C", 2)])
     def test_matches_ball_bfs_within_the_cap(self, spec):
