@@ -1,10 +1,10 @@
 """Ball-local coarse geometry for the lamplighter Cayley graph.
 
-Metric balls are built by breadth-first search over a packed integer
-encoding (lamp window plus cursor in one 64-bit word), so radius 22 with
-a few million vertices stays cheap.  Obstacles are the explicit walks;
-removing an obstacle neighborhood and decomposing what is left gives
-ball-local separation verdicts.  Enumeration of the infinite paths is
+A metric ball is the sorted table of its members' packed keys (lamp
+window plus cursor in one 64-bit word), found by breadth-first search;
+distances are the closed form on the keys.  Obstacles are the explicit
+walks; removing an obstacle neighborhood and decomposing what is left
+gives ball-local separation verdicts.  Enumeration of the infinite paths is
 truncated by provable per-stage lower bounds: lamps above the trailing
 block never change during a stage, so any stage whose persistent high
 bits already cost more than the budget cannot reach the ball.
@@ -61,9 +61,6 @@ class PathSpec:
         elif self.n is not None:
             raise ValueError(f"kind {self.kind} takes no n")
 
-    def label(self) -> str:
-        return self.kind if self.n is None else f"{self.kind}{self.n}"
-
 
 def _unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values.
@@ -81,29 +78,28 @@ def _unique(values: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def _isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Membership mask of values in a sorted table."""
-    if len(table) == 0:
-        return np.zeros(len(values), dtype=bool)
+def _find(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in a sorted table, -1 where it is absent."""
     pos = np.searchsorted(table, values)
-    pos[pos == len(table)] = 0
-    return table[pos] == values
+    np.minimum(pos, len(table) - 1, out=pos)  # all -1 on an empty table
+    if len(table):
+        pos[table[pos] != values] = -1
+    return pos
 
 
 class Ball:
-    """Exhaustive metric ball around a center, with exact distances.
+    """Exhaustive metric ball around a center, held as its sorted keys.
 
-    Members are stored as sorted packed integers (lamp window shifted by
-    the radius, then the cursor) relative to the center; decoding shifts
-    back.  Deterministic: member order is the packed order, which sorts
+    A key packs a member relative to the center (lamp window shifted by
+    the radius, then the cursor); distances are the closed form on the
+    keys.  Deterministic: member order is the packed order, which sorts
     by lamp pattern as a binary value, then cursor.
     """
 
-    def __init__(self, center: Configuration, radius: int, keys: np.ndarray, dists: np.ndarray):
+    def __init__(self, center: Configuration, radius: int, keys: np.ndarray):
         self.center = center
         self.radius = radius
         self._keys = keys
-        self._dists = dists
 
     @property
     def member_count(self) -> int:
@@ -138,20 +134,21 @@ class Ball:
             return compose(self.center, rel)
         return rel
 
-    def __contains__(self, g: Configuration) -> bool:
+    def _position(self, g: Configuration) -> int:
+        """Position of g in the key table, -1 if g is not a member."""
         key = self.pack(g)
         if key is None:
-            return False
-        return bool(_isin_sorted(np.array([key], dtype=np.uint64), self._keys)[0])
+            return -1
+        return int(_find(self._keys, np.array([key], dtype=np.uint64))[0])
+
+    def __contains__(self, g: Configuration) -> bool:
+        return self._position(g) >= 0
 
     def distance(self, g: Configuration) -> int:
         """Exact distance from the center to a member."""
-        key = self.pack(g)
-        if key is not None:
-            pos = int(np.searchsorted(self._keys, np.uint64(key)))
-            if pos < len(self._keys) and self._keys[pos] == np.uint64(key):
-                return int(self._dists[pos])
-        raise KeyError(f"{g!r} is not in the ball")
+        if self._position(g) < 0:
+            raise KeyError(f"{g!r} is not in the ball")
+        return word_distance(self.center, g)
 
     def items(self) -> Iterator[tuple[Configuration, int]]:
         """(member, distance) pairs in deterministic packed order."""
@@ -162,6 +159,16 @@ class Ball:
         """Member counts per exact distance, index 0..radius."""
         counts = np.bincount(self._dists, minlength=self.radius + 1)
         return [int(c) for c in counts]
+
+    @cached_property
+    def _dists(self) -> np.ndarray:
+        """Each member's distance from the center (uint8), by the closed
+        form on its key, one chunk at a time; built on first use."""
+        keys = self._keys
+        return np.concatenate([
+            _packed_distance(keys[lo:lo + _SCAN_CHUNK], self.radius, 0, 0).astype(np.uint8)
+            for lo in range(0, len(keys), _SCAN_CHUNK)
+        ])
 
     @cached_property
     def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +191,8 @@ class Ball:
             part = keys[lo:lo + _SCAN_CHUNK]
             bit = np.uint64(1) << (np.uint64(_CUR_BITS) + (part & _CUR_MASK))
             dark = np.flatnonzero((part & bit) == 0)
-            lit = part[dark] | bit[dark]
-            pos = np.searchsorted(keys, lit)
-            pos[pos == n] = 0
-            hit = keys[pos] == lit
+            pos = _find(keys, part[dark] | bit[dark])
+            hit = pos >= 0
             src, dst = lo + dark[hit], pos[hit]
             tog[src] = dst
             tog[dst] = src
@@ -203,7 +208,7 @@ def _neighbor_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER_CAP) -> Ball:
-    """Exhaustive BFS ball with exact distances.
+    """Exhaustive BFS ball: every member's key, sorted.
 
     Growth is exponential (ratio around 1.8 per unit radius); the
     closed-form count of the ball raises ResourceLimitError over the
@@ -220,22 +225,15 @@ def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER
     levels = [origin]
     prev, cur = np.array([], dtype=np.uint64), origin
     for _ in range(radius):
-        if len(cur) == 0:
-            break
         tog, rgt, lft = _neighbor_keys(cur)
         cand = _unique(np.concatenate([tog, rgt, lft]))
         # the Cayley graph is bipartite (every generator flips lamp count
         # plus cursor mod 2), so new vertices can only collide with the
         # previous level
-        fresh = cand[~_isin_sorted(cand, prev)]
+        fresh = cand[_find(prev, cand) < 0]
         levels.append(fresh)
         prev, cur = cur, fresh
-    keys = np.concatenate(levels)
-    dists = np.concatenate(
-        [np.full(len(lvl), d, dtype=np.uint8) for d, lvl in enumerate(levels)]
-    )
-    order = np.argsort(keys)
-    return Ball(center, radius, keys[order], dists[order])
+    return Ball(center, radius, np.sort(np.concatenate(levels)))
 
 
 def _walk_keys_in_ball(walk_vertices: Iterable[Configuration], b: Ball) -> np.ndarray:
@@ -247,7 +245,7 @@ def _walk_keys_in_ball(walk_vertices: Iterable[Configuration], b: Ball) -> np.nd
     if not keys:
         return np.array([], dtype=np.uint64)
     arr = _unique(np.array(keys, dtype=np.uint64))
-    return arr[_isin_sorted(arr, b._keys)]
+    return arr[_find(b._keys, arr) >= 0]
 
 
 _MOVE = -2  # template gate of a cursor move: no lamp toggles
@@ -347,7 +345,7 @@ def _counter_line_keys_in_ball(b: Ball) -> np.ndarray:
     found = [np.array([], dtype=np.uint64)]
     for rows in _line_keys(b.radius, b.radius):
         keys = _unique(rows.ravel())
-        found.append(keys[_isin_sorted(keys, b._keys)])
+        found.append(keys[_find(b._keys, keys) >= 0])
     return _unique(np.concatenate(found))
 
 
@@ -655,19 +653,16 @@ def separation_report(
     )
     if b.radius != radius or b.center != IDENTITY:
         raise ValueError("prebuilt ball does not match the requested radius")
-    obstacle_keys = _path_keys_in_ball(spec, b)
-    removed, depth = _neighborhood(b, obstacle_keys, k_neighborhood)
-
-    probe_positions = []
-    for p in (probe_a, probe_b):
-        if p not in b:
+    probe_positions = [b._position(p) for p in (probe_a, probe_b)]
+    for p, pos in zip((probe_a, probe_b), probe_positions):
+        if pos < 0:
             raise ProbeOutsideBallError(f"probe {p!r} is outside ball(e, {radius})")
-        pos = int(np.searchsorted(b._keys, np.uint64(b.pack(p))))
+    removed, depth = _neighborhood(b, _path_keys_in_ball(spec, b), k_neighborhood)
+    for p, pos in zip((probe_a, probe_b), probe_positions):
         if removed[pos]:
             raise ProbeInsideObstacleError(
                 f"probe {p!r} lies in the removed obstacle neighborhood"
             )
-        probe_positions.append(pos)
 
     labels, comps = _decompose(b, removed, depth)
     placements = []
@@ -678,7 +673,7 @@ def separation_report(
             # above, and a path of length <= R - d(e, p) from p stays in
             # the ball, so d_ball <= R - d(e, p) + 1 is exact
             d_ball = None if depth is None else int(depth[pos]) + k_neighborhood
-            if d_ball is not None and d_ball <= radius - int(b._dists[pos]) + 1:
+            if d_ball is not None and d_ball <= radius - word_distance(IDENTITY, p) + 1:
                 d = d_ball if d_ball <= radius else EXCEEDS
             else:
                 d = distance_to_path(p, spec, cap=radius)

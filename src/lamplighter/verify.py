@@ -16,7 +16,6 @@ from typing import Callable
 
 from .coarse import (
     PathSpec,
-    ResourceLimitError,
     ball,
     circle_family_distortion,
     distance_to_path,
@@ -157,11 +156,7 @@ def _check_line_separation() -> tuple[bool, str]:
     for n in (2, 3, 4):
         ps = probes(n)
         radius = 5 * n + 2
-        try:
-            rep = separation_report(PathSpec("N"), 0, radius, ps.a_n, ps.b_n)
-        except ResourceLimitError:
-            radius = 5 * n  # documented fallback when the member cap binds
-            rep = separation_report(PathSpec("N"), 0, radius, ps.a_n, ps.b_n)
+        rep = separation_report(PathSpec("N"), 0, radius, ps.a_n, ps.b_n)
         da = rep.probes[0].distance_to_obstacle
         db = rep.probes[1].distance_to_obstacle
         ok = (

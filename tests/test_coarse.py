@@ -81,10 +81,11 @@ class TestBall:
         for r, want in enumerate(BALL_SIZES):
             assert ball(IDENTITY, r).member_count == want
 
-    def test_agrees_with_reference_bfs(self, ball6):
-        oracle = bfs_ball(IDENTITY, 6)
-        got = dict(ball6.items())
-        assert got == oracle
+    @pytest.mark.parametrize("radius", range(10))
+    def test_agrees_with_reference_bfs(self, radius):
+        # members from the packed BFS, distances from the closed form on
+        # the keys, against the dict BFS and its levels
+        assert dict(ball(IDENTITY, radius).items()) == bfs_ball(IDENTITY, radius)
 
     def test_sphere_sizes(self, ball6):
         sizes = ball6.sphere_sizes()
@@ -105,8 +106,11 @@ class TestBall:
 
     def test_centered_ball_is_translate(self):
         g = Configuration([2, -1], 1)
-        shifted = {v for v, _ in ball(g, 3).items()}
+        b = ball(g, 3)
+        shifted = {v for v, _ in b.items()}
         assert shifted == {compose(g, v) for v in bfs_ball(IDENTITY, 3)}
+        for v, d in bfs_ball(IDENTITY, 3).items():
+            assert b.distance(compose(g, v)) == d
 
     def test_radius_window_guard(self):
         with pytest.raises(ValueError, match="packing window"):
@@ -239,6 +243,14 @@ class TestPackedKernels:
         assert got.dtype == np.uint64
         assert np.array_equal(got, np.unique(arr))
 
+    def test_find_positions_and_absences(self):
+        table = np.array([3, 5, 9, 12], dtype=np.uint64)
+        values = np.array([3, 12, 7, 13, 0, 9], dtype=np.uint64)
+        assert coarse._find(table, values).tolist() == [0, 3, -1, -1, -1, 2]
+        empty = np.array([], dtype=np.uint64)
+        assert coarse._find(empty, values).tolist() == [-1] * 6
+        assert coarse._find(table, empty).tolist() == []
+
     @pytest.mark.parametrize(
         "kind,radius,count", [("N", 12, 143), ("R", 12, 155), ("N", 16, 465), ("R", 16, 481)]
     )
@@ -249,10 +261,12 @@ class TestPackedKernels:
 
     def test_no_hash_unique_or_scipy_in_the_package(self):
         # numpy's hash-based unique is far slower than a sort on packed keys,
-        # and components are labelled by the ball's own flood, not scipy
+        # a ball is its sorted keys with no column to carry through an
+        # argsort, and components are labelled by the ball's own flood, not
+        # scipy
         for path in Path(coarse.__file__).parent.glob("*.py"):
             text = path.read_text()
-            for token in ("np.unique(", "np.union1d(", "scipy"):
+            for token in ("np.unique(", "np.union1d(", "np.argsort(", "scipy"):
                 assert token not in text, (path.name, token)
 
 
@@ -531,6 +545,29 @@ class TestSeparationReport:
     def test_probe_outside_ball_is_rejected(self):
         with pytest.raises(ProbeOutsideBallError):
             separation_report(PathSpec("N"), 0, 4, Configuration([], -9), probes(1).b_n)
+
+    def test_probe_outside_ball_is_rejected_before_the_path(self, monkeypatch):
+        def no_path(spec, b):
+            raise AssertionError("the path was enumerated before the probes were placed")
+
+        monkeypatch.setattr(coarse, "_path_keys_in_ball", no_path)
+        p = probes(8)
+        with pytest.raises(ProbeOutsideBallError, match=r"outside ball\(e, 6\)"):
+            separation_report(PathSpec("I", 8), 0, 6, p.x_n, p.y_n)
+
+    @pytest.mark.parametrize("spec", [PathSpec("N"), PathSpec("R"), PathSpec("I", 2), PathSpec("C", 2)])
+    def test_report_builds_no_distance_column(self, spec):
+        # the ball holds only its keys: membership, distances and the
+        # report's exactness test all go through the closed form
+        b = ball(IDENTITY, 12)
+        p = probes(spec.n or 2)
+        pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
+        rep = separation_report(spec, 0, 12, pa, pb, prebuilt_ball=b)
+        assert rep.verdict == "separated-in-ball"
+        assert pa in b and b.distance(pa) == word_distance(IDENTITY, pa)
+        assert "_dists" not in b.__dict__
+        assert b.sphere_sizes() == list(sphere_sizes(12))
+        assert "_dists" in b.__dict__
 
     def test_probe_inside_obstacle_is_rejected(self):
         with pytest.raises(ProbeInsideObstacleError):
