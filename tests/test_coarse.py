@@ -138,6 +138,25 @@ class TestBall:
         b = ball(IDENTITY, 20)
         assert b.member_count == 229_735
         assert [(g, d) for g, d in b.items() if word_distance(IDENTITY, g) != d] == []
+        # the BFS fixes every member's level: the members the closed form
+        # puts within r of e are exactly the members of the BFS ball of
+        # radius r, moved into the radius-20 window; each of those balls'
+        # own distance column counts the same levels
+        small = ball(IDENTITY, 6)
+        assert rewindow(small._keys, 6, 20).tolist() == [b.pack(g) for g, _ in small.items()]
+        for r in range(21):
+            inner = ball(IDENTITY, r)
+            assert np.array_equal(rewindow(inner._keys, r, 20), b._keys[b._dists <= r])
+            assert inner.sphere_sizes() == b.sphere_sizes()[: r + 1]
+
+
+def rewindow(keys, r, to):
+    """Keys of a radius-r ball around e, repacked as keys of a radius-to
+    ball (the same members, in the same order)."""
+    shift = np.uint64(to - r)
+    return (keys >> np.uint64(coarse._CUR_BITS) << shift << np.uint64(coarse._CUR_BITS)) | (
+        (keys & coarse._CUR_MASK) + shift
+    )
 
 
 def packed_stage_replay(stage, off):
