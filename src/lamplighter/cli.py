@@ -105,17 +105,17 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
-def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int | None = None
-                   ) -> Iterator[bytes] | None:
-    """The walk file of a cache entry, or of its first prefix steps, in
+def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int) -> Iterator[bytes] | None:
+    """The walk file of the first prefix steps of a cache entry, in
     _CHUNK-byte pieces read from a file that stack closes; None when the
     entry fails a check.
 
     One pass of reads checks the sha256 in the sidecar (missing counts
     as a mismatch), counts lines and finds where the header, the vertex
     at index prefix and the last vertex end; the header and the trailer
-    are then read back by offset and checked.  A prefix gets a new
-    header and the milestones it reaches."""
+    (milestones mapping labels to int indices) are then read back by
+    offset and checked.  The whole entry is copied byte for byte; a
+    shorter prefix gets a new header and the milestones it reaches."""
     import hashlib  # loads OpenSSL (about 3.5 MB); only the walk cache needs it
 
     try:
@@ -123,7 +123,7 @@ def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int | Non
         handle = stack.enter_context(path.open("rb"))
     except (OSError, UnicodeDecodeError):
         return None
-    cut = 0 if prefix is None else prefix + 2  # header and prefix + 1 vertices
+    cut = prefix + 2  # header and prefix + 1 vertices
     digest, pos, lines, body, cut_at = hashlib.sha256(), 0, 0, 0, 0
     prev = last = -1  # offsets of the last two newlines
     try:
@@ -132,8 +132,8 @@ def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int | Non
             count = chunk.count(b"\n")
             if count:
                 body = body or pos + chunk.index(b"\n") + 1
-                if lines < cut <= lines + count:
-                    cut_at = pos + len(chunk) - len(chunk.split(b"\n", cut - lines)[-1])
+                if lines < cut <= lines + count:  # from the end: exact hits cut the last vertex
+                    cut_at = pos + len(chunk.rsplit(b"\n", lines + count - cut + 1)[0]) + 1
                 i = chunk.rindex(b"\n")
                 j = chunk.rfind(b"\n", 0, i)
                 prev, last = (pos + j if j >= 0 else last), pos + i
@@ -147,14 +147,16 @@ def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int | Non
             raise ValueError(path)
         handle.seek(prev + 1)
         trailer = json.loads(handle.read(last - prev))
-        if not isinstance(trailer, dict) or set(trailer) != {"milestones"}:
+        if not (isinstance(trailer, dict) and set(trailer) == {"milestones"}
+                and isinstance(milestones := trailer["milestones"], dict)
+                and set(map(type, milestones.values())) <= {int}):  # bools are not indices
             raise ValueError(path)
     except (OSError, ValueError):  # json and utf-8 errors are ValueErrors
         handle.close()
         return None
-    if prefix is None:
+    if prefix == header["steps"]:
         return _file_chunks(handle, b"", 0, pos, b"")
-    trimmed = {k: v for k, v in trailer["milestones"].items() if v <= prefix}
+    trimmed = {k: v for k, v in milestones.items() if v <= prefix}
     return _file_chunks(handle, _line({**header, "steps": prefix}), body, cut_at,
                         _line({"milestones": trimmed}))
 
@@ -172,19 +174,23 @@ def _file_chunks(handle: BinaryIO, head: bytes, start: int, stop: int, tail: byt
     yield tail
 
 
-def _prefix_chunks(stack: ExitStack, kind: str, steps: int) -> Iterator[bytes] | None:
-    """The walk file of the first steps steps cut from the shortest
-    longer cached half-quasi-line that checks out: the walk is a
-    prefix-stable sequence.  Only kind N is prefix-stable."""
-    if kind != "N":
-        return None
-    found = ((re.fullmatch(r"N-0-(\d+)\.walk", p.name), p) for p in _cache_dir().glob("N-0-*.walk"))
-    for cached_steps, path in sorted((int(m[1]), p) for m, p in found if m and int(m[1]) > steps):
-        chunks = _cached_chunks(stack, path, {"kind": "N", "n": None, "steps": cached_steps}, steps)
+def _cache_hit(stack: ExitStack, kind: str, n: int | None, steps: int
+               ) -> tuple[Iterator[bytes] | None, bool]:
+    """The walk file of the first steps steps of the shortest cached
+    entry of this kind and scale that checks out, and whether that entry
+    has exactly steps steps; (None, False) when none does.  Entries with
+    steps steps qualify, and for kind N, the one prefix-stable walk,
+    longer ones too.  Each entry that fails a check is reported."""
+    name = re.compile(rf"{kind}-{n or 0}-([1-9]\d*)\.walk")
+    found = (int(m[1]) for p in _cache_dir().glob(f"{kind}-{n or 0}-*.walk")
+             if (m := name.fullmatch(p.name)))
+    for cached in sorted(c for c in found if c == steps or kind == "N" and c > steps):
+        path = _cache_dir() / f"{kind}-{n or 0}-{cached}.walk"
+        chunks = _cached_chunks(stack, path, {"kind": kind, "n": n, "steps": cached}, steps)
         if chunks is not None:
-            return chunks
+            return chunks, cached == steps
         click.echo(f"warning: corrupt cache entry {path.name}, ignoring", err=True)
-    return None
+    return None, False
 
 
 def _write_output(chunks: Iterable[bytes], out: str, entry: Path | None = None) -> None:
@@ -267,20 +273,12 @@ def walk(kind: str, n: int | None, steps: int | None, out: str, no_cache: bool) 
     built = path_walk(kind, n) if kind in ("I", "C") else None  # intrinsic length
     if built is not None:
         steps = built.step_count
-    header = {"kind": kind, "n": n, "steps": steps}
-    entry = chunks = None
     with ExitStack() as stack:  # closes the cache entry that the output is read from
-        if not no_cache:
-            entry = _cache_dir() / f"{kind}-{n or 0}-{steps}.walk"  # content-addressed
-            if entry.is_file():
-                chunks = _cached_chunks(stack, entry, header)
-                if chunks is not None:
-                    _write_output(chunks, out)
-                    return
-                click.echo(f"warning: corrupt cache entry {entry.name}, regenerating", err=True)
-            chunks = _prefix_chunks(stack, kind, steps)
+        chunks, exact = (None, False) if no_cache else _cache_hit(stack, kind, n, steps)
         if chunks is None:
             chunks = _walk_chunks(built or path_walk(kind, steps=steps))
+        # a miss or a prefix hit is stored under its content-addressed name
+        entry = None if no_cache or exact else _cache_dir() / f"{kind}-{n or 0}-{steps}.walk"
         _write_output(chunks, out, entry)
 
 

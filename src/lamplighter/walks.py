@@ -99,26 +99,6 @@ class Walk:
     n: int | None = None
     closed: bool = False
 
-    @classmethod
-    def from_steps(
-        cls,
-        start: Configuration,
-        steps: Iterable[Step],
-        milestones: dict[str, int] | None = None,
-        *,
-        kind: str | None = None,
-        n: int | None = None,
-        closed: bool = False,
-    ) -> "Walk":
-        return cls(
-            start=start,
-            steps=tuple(steps),
-            milestones=dict(milestones or {}),
-            kind=kind,
-            n=n,
-            closed=closed,
-        )
-
     @cached_property
     def vertices(self) -> tuple[Configuration, ...]:
         return tuple(replay(self.start, self.steps))
@@ -150,7 +130,7 @@ class Walk:
 
 def stage_walk(n: int) -> Walk:
     """The stage-n segment of the half-quasi-line as a standalone walk."""
-    return Walk.from_steps(stage_config(n), stage_steps(n))
+    return Walk(stage_config(n), tuple(stage_steps(n)))
 
 
 _MIRROR = {Step.TOGGLE: Step.TOGGLE, Step.RIGHT: Step.LEFT, Step.LEFT: Step.RIGHT}
@@ -181,7 +161,7 @@ def half_quasi_line(num_steps: int) -> Walk:
         else:
             steps.extend(stage_list[: num_steps - len(steps)])
             break
-    return Walk.from_steps(IDENTITY, steps, milestones, kind="N")
+    return Walk(IDENTITY, tuple(steps), milestones, kind="N")
 
 
 def quasi_line(neg_len: int, pos_steps: int) -> Walk:
@@ -205,7 +185,7 @@ def quasi_line(neg_len: int, pos_steps: int) -> Walk:
     for label, idx in positive.milestones.items():
         milestones[label] = offset + idx
     steps.extend(positive.steps)
-    return Walk.from_steps(start, steps, milestones, kind="R")
+    return Walk(start, tuple(steps), milestones, kind="R")
 
 
 def quasi_interval(n: int) -> Walk:
@@ -231,9 +211,7 @@ def quasi_interval(n: int) -> Walk:
         seg2.append(Step.RIGHT)
     seg3 = mirror_steps(seg1)
     milestones = {"I1_end": len(seg1), "I2_end": len(seg1) + len(seg2)}
-    return Walk.from_steps(
-        IDENTITY, seg1 + seg2 + list(seg3), milestones, kind="I", n=n
-    )
+    return Walk(IDENTITY, (*seg1, *seg2, *seg3), milestones, kind="I", n=n)
 
 
 def quasi_circle(n: int) -> Walk:
@@ -257,9 +235,7 @@ def quasi_circle(n: int) -> Walk:
         steps.append(Step.LEFT)
         steps.append(Step.TOGGLE)
     steps.append(Step.LEFT)
-    return Walk.from_steps(
-        Configuration((0,), 0), steps, milestones, kind="C", n=n, closed=True
-    )
+    return Walk(Configuration((0,), 0), tuple(steps), milestones, kind="C", n=n, closed=True)
 
 
 def path_walk(kind: str, n: int | None = None, steps: int | None = None) -> Walk:

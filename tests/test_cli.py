@@ -203,6 +203,37 @@ class TestWalkCache:
         assert r.stdout == WALK_N12
         assert "corrupt cache entry N-0-200.walk" in r.stderr
 
+    def test_exact_entry_is_read_before_a_longer_one(self, runner, cache_env):
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "200", "--out", "-")
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        self.overwrite_vertex(cache_env, "N-0-200.walk", 6)
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert r.stderr == ""
+
+    def test_corrupt_exact_entry_is_served_from_a_longer_one_and_replaced(self, runner, cache_env):
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "200", "--out", "-")
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        long_path = os.path.join(self.cache_dir(cache_env), "N-0-200.walk")
+        with open(long_path, "rb") as fh:
+            long_bytes = fh.read()
+        path = os.path.join(self.cache_dir(cache_env), "N-0-12.walk")
+        with open(path, "w") as fh:
+            fh.write("{garbage\n")
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert r.stderr.count("N-0-12.walk") == 1
+        with open(path) as fh:
+            assert fh.read() == WALK_N12
+        with open(long_path, "rb") as fh:
+            assert fh.read() == long_bytes
+
+    def test_line_is_never_served_as_a_prefix(self, runner, cache_env):
+        run(runner, cache_env, "walk", "--kind", "R", "--steps", "40", "--out", "-")
+        r = run(runner, cache_env, "walk", "--kind", "R", "--steps", "16", "--out", "-")
+        assert r.stdout == reference_walk_text(path_walk("R", steps=16))
+        assert "R-0-16.walk" in os.listdir(self.cache_dir(cache_env))
+
     def test_undecodable_entry_is_regenerated(self, runner, cache_env):
         run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
         with open(os.path.join(self.cache_dir(cache_env), "N-0-12.walk"), "wb") as fh:
@@ -318,6 +349,21 @@ class TestWalkCacheChunks:
         os.remove(self.entry(cache_env, 12) + ".sha256")
         self.assert_regenerated(runner, cache_env, 12)
 
+    @pytest.mark.parametrize("trailer", [b'{"milestones":[]}', b'{"milestones":{"c0":"x"}}',
+                                         b'{"milestones":{"c0":true}}'],
+                             ids=["list", "str-index", "bool-index"])
+    @pytest.mark.parametrize("steps", [12, 5], ids=["exact", "prefix"])
+    def test_malformed_milestones_under_a_matching_digest(self, runner, cache_env, chunk,
+                                                           trailer, steps):
+        self.walk(runner, cache_env, 12)
+        body = WALK_N12.encode()
+        self.replace_entry(cache_env, 12, body[:body.rindex(b"\n{") + 1] + trailer + b"\n")
+        r = self.walk(runner, cache_env, steps)
+        assert r.stdout == reference_walk_text(half_quasi_line(steps))
+        assert r.stderr == "warning: corrupt cache entry N-0-12.walk, ignoring\n"
+        with open(self.entry(cache_env, steps)) as fh:  # regenerated, or the prefix stored
+            assert fh.read() == r.stdout
+
     def test_no_cache(self, runner, cache_env, chunk):
         r = self.walk(runner, cache_env, 200, "--no-cache")
         assert r.stdout == reference_walk_text(half_quasi_line(200))
@@ -347,6 +393,15 @@ def test_starts_without_numpy(args, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout
     assert done.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_cache_hits_start_without_numpy(tmp_path):
+    """A miss, its exact hit and a prefix hit, each in a fresh
+    interpreter sharing one cache directory."""
+    for steps in ("200", "200", "12"):
+        test_starts_without_numpy(["walk", "--kind", "N", "--steps", steps], tmp_path)
+    assert sorted(os.listdir(tmp_path)) == [  # the prefix hit stored its own entry
+        "N-0-12.walk", "N-0-12.walk.sha256", "N-0-200.walk", "N-0-200.walk.sha256"]
 
 
 def test_package_names_resolve_on_first_use():
