@@ -38,7 +38,7 @@ from .group import (  # not coarse: it loads numpy, which walk, dist and --help 
     encode_vertices,
     word_distance,
 )
-from .walks import Walk, path_walk, probes
+from .walks import Walk, intrinsic_step_count, path_walk, probes
 
 
 def _parse_config(text: str, flag: str) -> Configuration:
@@ -250,6 +250,9 @@ def _write_output(chunks: Iterable[bytes], out: str, entry: Path | None = None) 
 def main() -> None:
     """Lamplighter word metric, explicit walks, and ball-local
     separation evidence."""
+    # before any command imports numpy: no command makes a BLAS call, and
+    # verify forks its workers, which is safe only while single-threaded
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @main.command()
@@ -270,13 +273,12 @@ def walk(kind: str, n: int | None, steps: int | None, out: str, no_cache: bool) 
             raise click.UsageError(f"kind {kind} needs --n >= 1")
         if steps is not None:
             raise click.UsageError(f"kind {kind} has intrinsic length; drop --steps")
-    built = path_walk(kind, n) if kind in ("I", "C") else None  # intrinsic length
-    if built is not None:
-        steps = built.step_count
+    if kind in ("I", "C"):
+        steps = intrinsic_step_count(kind, n)
     with ExitStack() as stack:  # closes the cache entry that the output is read from
         chunks, exact = (None, False) if no_cache else _cache_hit(stack, kind, n, steps)
         if chunks is None:
-            chunks = _walk_chunks(built or path_walk(kind, steps=steps))
+            chunks = _walk_chunks(path_walk(kind, n, steps))
         # a miss or a prefix hit is stored under its content-addressed name
         entry = None if no_cache or exact else _cache_dir() / f"{kind}-{n or 0}-{steps}.walk"
         _write_output(chunks, out, entry)

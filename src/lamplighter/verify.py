@@ -4,12 +4,29 @@ Each check re-derives one claimed property from scratch (independent
 oracle, exhaustive enumeration, or frozen construction identity) and
 returns a pass/fail result with a one-line detail.  The suite is what
 `ll-coarse verify` runs; the test suite asserts every check passes.
+
+The checks share no state, so `run_checks` splits the selected ones
+into one share per CPU this process may run on: share w holds table
+positions w, w + W, ...  The caller runs share 0 itself; each other
+share runs in a child made with `fork` (cheap, since the modules are
+already loaded, and the child sees the check table as it stands), which
+pickles each result onto its own pipe as the check finishes and leaves
+with `os._exit`.  The caller reads every pipe, reaps every child and
+returns the results in table order, each timed in the process that ran
+it.  A worker that dies turns its unreported checks into failures.
+With one check or one CPU, or without `os.fork`, nothing is forked.
+Forking is safe only in a single-threaded process, which is why
+`ll-coarse` keeps numpy's OpenBLAS to one thread.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import pickle
 import random
+import signal
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -47,6 +64,9 @@ from .walks import (
 )
 
 _SEED = 20260814
+
+# id, name and the function that returns (passed, detail)
+_Check = tuple[str, str, Callable[[], tuple[bool, str]]]
 
 
 @dataclass(frozen=True)
@@ -259,7 +279,7 @@ def _check_cli_determinism() -> tuple[bool, str]:
     )
 
 
-_CHECKS: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = [
+_CHECKS: list[_Check] = [
     ("1-metric-oracle", "closed-form metric equals BFS on B(e,8)", _check_metric_oracle),
     ("2-group-laws", "group laws and metric left-invariance", _check_group_laws),
     ("3-line-well-formed", "half-quasi-line distinct with counter milestones", _check_line_well_formed),
@@ -277,18 +297,93 @@ def check_ids() -> list[str]:
     return [check_id for check_id, _, _ in _CHECKS]
 
 
-def run_checks(selection: str = "all") -> list[CheckResult]:
-    """Run the verification suite, or a single check by id or prefix."""
-    results = []
-    for check_id, name, fn in _CHECKS:
-        if selection not in ("all", check_id, check_id.split("-")[0]):
-            continue
-        t0 = time.time()
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_check(check: _Check) -> CheckResult:
+    check_id, name, fn = check
+    t0 = time.perf_counter()
+    try:
+        passed, detail = fn()
+    except Exception as exc:  # a crashed check is a failed check
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(check_id, name, passed, detail, time.perf_counter() - t0)
+
+
+def _fork_share(share: list[_Check], inherited: list[int]) -> tuple[int, int]:
+    """Fork a worker that runs the share's checks and pickles each
+    result onto a pipe as it finishes; return its pid and the pipe's
+    read end.  inherited are the read ends of earlier workers, which
+    the child closes."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child: whatever happens, it leaves through os._exit
+        code = 1
         try:
-            passed, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(check_id, name, passed, detail, time.time() - t0))
-    if not results:
+            for fd in (read_fd, *inherited):
+                os.close(fd)
+            with open(write_fd, "wb") as pipe:
+                for check in share:
+                    pipe.write(pickle.dumps(_run_check(check)))
+                    pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _share_results(share: list[_Check], data: bytes, status: int) -> list[CheckResult]:
+    """The results a worker pickled, then a failure for each check of
+    its share that it did not report."""
+    results, stream = [], io.BytesIO(data)
+    while len(results) < len(share):
+        try:
+            results.append(pickle.load(stream))
+        except (EOFError, pickle.UnpicklingError):  # the worker died mid-share
+            break
+    code = os.waitstatus_to_exitcode(status)
+    return results + [
+        CheckResult(check_id, name, False, f"worker exited with code {code} before reporting", 0.0)
+        for check_id, name, _ in share[len(results):]
+    ]
+
+
+def run_checks(selection: str = "all") -> list[CheckResult]:
+    """Run the verification suite, or a single check by id or prefix,
+    one share of the selected checks per CPU; results in table order."""
+    selected = [check for check in _CHECKS
+                if selection in ("all", check[0], check[0].split("-")[0])]
+    if not selected:
         raise ValueError(f"no check matches {selection!r}")
+    workers = min(len(selected), _cpus()) if hasattr(os, "fork") else 1
+    shares = [selected[w::workers] for w in range(workers)]
+    results: list[CheckResult | None] = [None] * len(selected)
+    children: list[tuple[int, int]] = []  # pid and read end per forked share
+    outputs: list[bytes] = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(share, [fd for _, fd in children]))
+        results[::workers] = map(_run_check, shares[0])
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                outputs.append(pipe.read())
+    finally:
+        statuses = []
+        for pid, fd in children:
+            os.close(fd)
+            if len(outputs) < len(children):  # interrupted: stop the workers
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for w, (data, status) in enumerate(zip(outputs, statuses), 1):
+        results[w::workers] = _share_results(shares[w], data, status)
     return results

@@ -69,6 +69,17 @@ def stage_steps(n: int) -> Iterator[Step]:
         yield Step.RIGHT
 
 
+def stage_step_count(n: int) -> int:
+    """len(list(stage_steps(n))) without generating the steps: one
+    toggle when k = trailing_ones(n) is 0, else 7k + 3 moves and toggles
+    plus two toggles (one copying, one clearing) for each set bit among
+    bits k+1..2k-1 of n."""
+    k = trailing_ones(n)
+    if k == 0:
+        return 1
+    return 7 * k + 3 + 2 * ((n >> (k + 1)) & ((1 << (k - 1)) - 1)).bit_count()
+
+
 def replay(start: Configuration, steps: Iterable[Step]) -> list[Configuration]:
     """All vertices visited when applying steps from start."""
     vertices = [start]
@@ -188,6 +199,13 @@ def quasi_line(neg_len: int, pos_steps: int) -> Walk:
     return Walk(start, tuple(steps), milestones, kind="R")
 
 
+def _segment_one_stages(n: int) -> int:
+    """The number of stages in segment one of the quasi-interval at scale n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return (1 << (2 * n + 1)) - 2
+
+
 def quasi_interval(n: int) -> Walk:
     """Finite three-segment walk from the identity to lamps 0..2n at 2n.
 
@@ -199,11 +217,8 @@ def quasi_interval(n: int) -> Walk:
     and the cursor at 2n.  Milestones mark the two junctions.  Length
     grows like 4**n; callers should keep n at most 6.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    top = (1 << (2 * n + 1)) - 2
     seg1: list[Step] = []
-    for stage in range(top):
+    for stage in range(_segment_one_stages(n)):
         seg1.extend(stage_steps(stage))
     seg2: list[Step] = [Step.RIGHT]
     for _ in range(2 * n - 1):
@@ -253,6 +268,19 @@ def path_walk(kind: str, n: int | None = None, steps: int | None = None) -> Walk
     if kind == "C":
         return quasi_circle(n)
     raise ValueError(f"unknown path kind {kind!r}")
+
+
+def intrinsic_step_count(kind: str, n: int) -> int:
+    """path_walk(kind, n).step_count for kind I or C, without building
+    the walk: segments one and three each take the steps of the stages
+    of segment one, segment two 4n - 1, and the circle drops the first
+    step and closes in 4n."""
+    interval = 2 * sum(map(stage_step_count, range(_segment_one_stages(n)))) + 4 * n - 1
+    if kind == "I":
+        return interval
+    if kind == "C":
+        return interval + 4 * n - 1
+    raise ValueError(f"kind {kind!r} has no intrinsic length")
 
 
 @dataclass(frozen=True)

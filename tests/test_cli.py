@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -264,6 +267,17 @@ class TestWalkCache:
         assert "cache store failed: no space left" in r.stderr
         assert os.listdir(self.cache_dir(cache_env)) == []  # no entry and no temp file
 
+    @pytest.mark.parametrize("kind", ["I", "C"])
+    def test_scaled_hit_does_not_build_the_walk(self, runner, cache_env, monkeypatch, kind):
+        miss = run(runner, cache_env, "walk", "--kind", kind, "--n", "2")
+
+        def no_build(*args):
+            raise AssertionError("the walk was built on a hit")
+
+        monkeypatch.setattr(cli, "path_walk", no_build)
+        hit = run(runner, cache_env, "walk", "--kind", kind, "--n", "2")
+        assert hit.output == miss.output
+
     def test_no_cache_flag_skips_storage(self, runner, cache_env):
         run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--no-cache", "--out", "-")
         assert not os.path.exists(os.path.join(self.cache_dir(cache_env), "N-0-12.walk"))
@@ -393,6 +407,70 @@ def test_starts_without_numpy(args, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout
     assert done.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+ENTRY = "import sys; from lamplighter.cli import main; main(sys.argv[1:], prog_name='ll-coarse')"
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")], ids=["default", "preset"])
+def test_openblas_threads_default(tmp_path, preset, want):
+    """ll-coarse keeps numpy's OpenBLAS to one thread unless told otherwise,
+    so that verify forks its workers from a single-threaded process."""
+    code = (
+        "import os, sys\n"
+        "from lamplighter.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:], prog_name='ll-coarse')\n"
+        "finally:\n"
+        "    tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1\n"
+        "    print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks, file=sys.stderr)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env.update(PYTHONPATH=str(SRC), LL_COARSE_CACHE_DIR=str(tmp_path))
+    done = subprocess.run([sys.executable, "-c", code, "ball", "--radius", "2"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    value, tasks = done.stderr.splitlines()[-1].split()
+    assert value == want
+    if preset is None:  # numpy is loaded and no thread was started
+        assert tasks == "1"
+
+
+def test_verify_runs_clean_in_dev_mode(tmp_path):
+    """Under -X dev -W error an unclosed pipe or a fork with threads
+    running would be an error."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LL_COARSE_CACHE_DIR": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", ENTRY, "verify", "--suite", "all"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == verify.check_ids()
+
+
+def test_killed_verify_leaves_no_workers(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LL_COARSE_CACHE_DIR": str(tmp_path)}
+    proc = subprocess.Popen([sys.executable, "-c", ENTRY, "verify", "--suite", "all"], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    time.sleep(0.5)
+    proc.kill()
+    proc.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    try:
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "verify workers outlived their killed parent"
+            time.sleep(0.05)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
 
 
 def test_cache_hits_start_without_numpy(tmp_path):
@@ -598,3 +676,52 @@ class TestVerifyCommand:
         r = runner.invoke(main, ["verify", "--suite", "all"], env=cache_env)
         assert r.exit_code == 1
         assert "FAIL" in r.output
+
+    def test_dead_worker_fails_its_check(self, runner, cache_env, monkeypatch, alarm):
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        monkeypatch.setattr(verify, "_CHECKS", [
+            ("1-fine", "passes", lambda: (True, "fine")),
+            ("2-dies", "ends its worker", lambda: os._exit(3)),
+        ])
+        r = runner.invoke(main, ["verify", "--suite", "all"], env=cache_env)
+        assert r.exit_code == 1
+        assert r.stdout.splitlines() == [
+            "PASS  1-fine  passes  (0.0s)  fine",
+            "FAIL  2-dies  ends its worker  (0.0s)  worker exited with code 3 before reporting",
+        ]
+        assert r.stderr == "1 of 2 checks failed\n"
+
+    def test_lines_come_in_table_order(self, runner, cache_env, monkeypatch, alarm):
+        def sleeper(seconds):
+            return lambda: (time.sleep(seconds), (True, f"slept {seconds}"))[1]
+
+        # the later checks finish first
+        checks = [(f"{i}-sleep", "sleeps", sleeper(0.04 * (7 - i))) for i in range(1, 7)]
+        monkeypatch.setattr(verify, "_CHECKS", checks)
+        monkeypatch.setattr(verify, "_cpus", lambda: 3)
+        r = run(runner, cache_env, "verify", "--suite", "all")
+        lines = r.output.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == verify.check_ids()
+        assert lines[-1] == "all 6 checks passed"
+
+    def test_one_check_forks_nothing(self, runner, cache_env, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(verify, "_cpus", lambda: 4)
+        r = run(runner, cache_env, "verify", "--suite", "1")
+        assert r.output.startswith("PASS  1-metric-oracle")
+
+
+@pytest.fixture()
+def alarm():
+    """Fail a test that blocks for 60 s instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError("the test blocked for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

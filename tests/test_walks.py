@@ -18,7 +18,13 @@ from lamplighter import (
     trailing_ones,
     word_distance,
 )
-from lamplighter.walks import mirror_steps, replay
+from lamplighter.walks import (
+    intrinsic_step_count,
+    mirror_steps,
+    path_walk,
+    replay,
+    stage_step_count,
+)
 
 T, R, L = Step.TOGGLE, Step.RIGHT, Step.LEFT
 
@@ -72,6 +78,20 @@ class TestStagePrimitives:
             assert -k <= v.cursor <= k
             if s is T:
                 assert -k <= v.cursor <= k
+
+
+class TestClosedFormStepCounts:
+    def test_stage_step_count_matches_the_stage_walks(self):
+        assert all(stage_step_count(n) == stage_walk(n).step_count for n in range(4096))
+
+    @pytest.mark.parametrize("kind", ["I", "C"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_intrinsic_step_count_matches_the_built_walks(self, kind, n):
+        assert intrinsic_step_count(kind, n) == path_walk(kind, n).step_count
+
+    def test_open_kinds_have_no_intrinsic_length(self):
+        with pytest.raises(ValueError):
+            intrinsic_step_count("N", 2)
 
 
 class TestHalfQuasiLine:
