@@ -2,10 +2,14 @@
 separation reports, and the verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource-limit error.  All outputs are deterministic text; generated
-walks are cached under content-addressed names (kind, n, steps) in
-LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse), each entry written,
-hashed, checked and served in chunks of about 1 MiB at bounded memory.
+3 resource-limit error.  All outputs are deterministic text.  Two things
+are cached in LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse), each
+entry beside a sha256 sidecar written before the entry is renamed into
+place: generated walks, under content-addressed names (kind, n, steps),
+each written, hashed, checked and served in chunks of about 1 MiB at
+bounded memory; and, for separate, the graph of each identity ball
+(ball-R.graph: sorted keys, then toggle column), checked by digest,
+length and key order before a query at the same radius uses it.
 The ball-local layer (coarse, and with it numpy) is imported only by
 the commands that use it, so walk, dist and --help start without numpy.
 """
@@ -20,7 +24,7 @@ import tempfile
 from contextlib import ExitStack, nullcontext, suppress
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
 
 import click
 
@@ -28,6 +32,7 @@ from .group import (  # not coarse: it loads numpy, which walk, dist and --help 
     DEFAULT_INDEX_CAP,
     DEFAULT_MEMBER_CAP,
     DEFAULT_RADIUS_CAP,
+    IDENTITY,
     CodecError,
     Configuration,
     ProbeInsideObstacleError,
@@ -39,6 +44,9 @@ from .group import (  # not coarse: it loads numpy, which walk, dist and --help 
     word_distance,
 )
 from .walks import Walk, intrinsic_step_count, path_walk, probes
+
+if TYPE_CHECKING:
+    from .coarse import Ball
 
 
 def _parse_config(text: str, flag: str) -> Configuration:
@@ -193,55 +201,140 @@ def _cache_hit(stack: ExitStack, kind: str, n: int | None, steps: int
     return None, False
 
 
+class _Store:
+    """A cache entry on its way in.  Each chunk goes to a temp file beside
+    the entry and to a sha256; commit writes the sidecar, then renames
+    the temp file into place, so an entry is never in place without its
+    digest.  A failure is one warning, after which the store drops what
+    it has; leaving the with-block removes what was not committed."""
+
+    def __init__(self, entry: Path):
+        import hashlib  # loads OpenSSL (about 3.5 MB); only the caches need it
+
+        self.entry, self.digest = entry, hashlib.sha256()
+        self.handle: BinaryIO | None = None
+        self.tmp: str | None = None
+        try:
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            fd, self.tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+            self.handle = os.fdopen(fd, "wb")
+        except OSError as exc:
+            self._fail(exc)
+
+    def __enter__(self) -> _Store:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._drop()
+
+    def _fail(self, exc: OSError) -> None:
+        click.echo(f"warning: cache store failed: {exc}", err=True)
+        self._drop()
+
+    def _drop(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+            self.handle = None
+        for path in () if self.tmp is None else (self.tmp, self.tmp + ".sha256"):
+            with suppress(OSError):
+                os.unlink(path)
+        self.tmp = None
+
+    def write(self, chunk: bytes | memoryview) -> None:
+        if self.handle is None:
+            return
+        self.digest.update(chunk)
+        try:
+            self.handle.write(chunk)
+        except OSError as exc:
+            self._fail(exc)
+
+    def commit(self) -> None:
+        if self.handle is None:
+            return
+        try:
+            self.handle.close()
+            self.handle = None
+            with open(self.tmp + ".sha256", "w") as handle:  # unique beside the unique tmp
+                handle.write(self.digest.hexdigest() + "\n")
+            os.replace(self.tmp + ".sha256", _sidecar(self.entry))
+            os.replace(self.tmp, self.entry)
+            self.tmp = None
+        except OSError as exc:
+            self._fail(exc)
+
+
 def _write_output(chunks: Iterable[bytes], out: str, entry: Path | None = None) -> None:
     """Write the chunks to the output (- for stdout) and, when entry is
-    given, store them in the walk cache on the way: each chunk also goes
-    to a temp file and a sha256, then the sidecar is written and the
-    temp file renamed into place, so an entry is never in place without
-    its digest.  A failed store is a warning."""
-    store = tmp = None
-    try:
-        if entry is not None:
-            import hashlib
-
-            digest = hashlib.sha256()
-            try:
-                entry.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
-                store = os.fdopen(fd, "wb")
-            except OSError as exc:
-                click.echo(f"warning: cache store failed: {exc}", err=True)
+    given, store them in the cache on the way."""
+    with _Store(entry) if entry is not None else nullcontext() as store:
         try:
             with (nullcontext(click.get_binary_stream("stdout")) if out == "-"
                   else open(out, "wb")) as sink:
                 for chunk in chunks:
                     sink.write(chunk)
                     if store is not None:
-                        digest.update(chunk)
-                        try:
-                            store.write(chunk)
-                        except OSError as exc:
-                            click.echo(f"warning: cache store failed: {exc}", err=True)
-                            store.close()
-                            store = None
+                        store.write(chunk)
         except OSError as exc:
             raise click.UsageError(f"cannot write {out}: {exc}")
         if store is not None:
-            try:
-                store.close()
-                with open(tmp + ".sha256", "w") as handle:  # unique beside the unique tmp
-                    handle.write(digest.hexdigest() + "\n")
-                os.replace(tmp + ".sha256", _sidecar(entry))
-                os.replace(tmp, entry)
-                tmp = None
-            except OSError as exc:
-                click.echo(f"warning: cache store failed: {exc}", err=True)
-    finally:
-        if store is not None:
-            store.close()
-        for path in () if tmp is None else (tmp, tmp + ".sha256"):
-            with suppress(OSError):
-                os.unlink(path)
+            store.commit()
+
+
+# ---------------------------------------------------------------- balls
+
+def _cached_ball(entry: Path, radius: int, members: int) -> Ball | None:
+    """ball(e, radius) from its cache entry, None when the entry fails a
+    check.
+
+    The entry holds the sorted key table (uint64), then the toggle
+    column (int32), little-endian: 12 bytes per member.  Its length must
+    match the closed-form member count and its bytes the sha256 in the
+    sidecar (missing counts as a mismatch), and the keys must strictly
+    increase and the toggles lie in -1..members - 1, before the ball is
+    built from them; the right-neighbour links follow from the keys."""
+    import hashlib
+
+    import numpy as np
+
+    from .coarse import Ball
+
+    try:
+        expected = _sidecar(entry).read_text().strip()
+        with entry.open("rb") as handle:
+            data = np.empty(12 * members, dtype=np.uint8)
+            if os.fstat(handle.fileno()).st_size != len(data) or handle.readinto(data) != len(data):
+                return None
+    except (OSError, UnicodeDecodeError):
+        return None
+    if hashlib.sha256(data).hexdigest() != expected:
+        return None
+    keys = data[:8 * members].view("<u8")
+    toggles = data[8 * members:].view("<i4")
+    if not (np.all(keys[1:] > keys[:-1]) and toggles.min() >= -1 and toggles.max() < members):
+        return None
+    return Ball(IDENTITY, radius, keys, toggles)
+
+
+def _identity_ball(radius: int, member_cap: int) -> Ball:
+    """ball(e, radius) with its toggle column, served from the cache entry
+    ball-R.graph when it checks out; otherwise built and stored there.
+    The radius and member caps fail before any entry is read."""
+    from .coarse import ball, ball_member_count
+
+    members = ball_member_count(radius, member_cap)
+    entry = _cache_dir() / f"ball-{radius}.graph"
+    if os.path.exists(entry):
+        b = _cached_ball(entry, radius, members)
+        if b is not None:
+            return b
+        click.echo(f"warning: corrupt cache entry {entry.name}, ignoring", err=True)
+    b = ball(IDENTITY, radius, member_cap=member_cap)
+    with _Store(entry) as store:
+        for column, dtype in ((b.keys, "<u8"), (b.toggles, "<i4")):
+            store.write(memoryview(column.astype(dtype, copy=False)).cast("B"))
+        store.commit()
+    return b
 
 
 # ---------------------------------------------------------------- commands
@@ -416,10 +509,11 @@ def separate(kind: str, n: int | None, k_neighborhood: int, radius: int,
     )
     pa = _parse_config(probe_a, "--probe-a") if probe_a else default_a
     pb = _parse_config(probe_b, "--probe-b") if probe_b else default_b
+    if k_neighborhood < 0:  # before any ball is read or built
+        raise click.UsageError("K must be nonnegative")
     try:
-        report = separation_report(
-            spec, k_neighborhood, radius, pa, pb, member_cap=member_cap
-        )
+        b = _identity_ball(radius, member_cap)
+        report = separation_report(spec, k_neighborhood, radius, pa, pb, prebuilt_ball=b)
     except ResourceLimitError as exc:
         _resource_exit(exc)
     except (ProbeOutsideBallError, ProbeInsideObstacleError, ValueError) as exc:

@@ -96,10 +96,18 @@ class Ball:
     by lamp pattern as a binary value, then cursor.
     """
 
-    def __init__(self, center: Configuration, radius: int, keys: np.ndarray):
+    def __init__(self, center: Configuration, radius: int, keys: np.ndarray,
+                 toggles: np.ndarray | None = None):
         self.center = center
         self.radius = radius
         self._keys = keys
+        if toggles is not None:  # the ball graph is then not searched for
+            self.toggles = toggles
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The members' packed keys (uint64), sorted."""
+        return self._keys
 
     @property
     def member_count(self) -> int:
@@ -171,40 +179,66 @@ class Ball:
         ])
 
     @cached_property
+    def toggles(self) -> np.ndarray:
+        """Position of each member's toggle neighbour in the key table
+        (int32, -1 outside the ball): given to the constructor, or
+        searched for on first use."""
+        return _toggle_column(self._keys)
+
+    @cached_property
     def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
         """The ball graph as positions in the key table, built on first use.
 
-        tog[i] is the position of member i's toggle neighbour (int32, -1
-        outside the ball).  The toggle is an involution, so only members
-        with the lamp under the cursor off are looked up, and each hit
-        fills both ends.  link[j] (j = 1..len - 1) says keys[j] ==
-        keys[j - 1] + 1: key + 1 is the right neighbour, which sits at
+        tog is the toggles column.  link[j] (j = 1..len - 1) says keys[j]
+        == keys[j - 1] + 1: key + 1 is the right neighbour, which sits at
         the next position when it is a member, so member i's right
         neighbour is a member iff link[i + 1] and its left iff link[i].
         link[0] and link[len] stay False.
         """
         keys = self._keys
-        n = len(keys)
-        tog = np.full(n, -1, dtype=np.int32)
-        link = np.zeros(n + 1, dtype=bool)
-        for lo in range(0, n, _SCAN_CHUNK):
-            part = keys[lo:lo + _SCAN_CHUNK]
-            bit = np.uint64(1) << (np.uint64(_CUR_BITS) + (part & _CUR_MASK))
-            dark = np.flatnonzero((part & bit) == 0)
-            pos = _find(keys, part[dark] | bit[dark])
-            hit = pos >= 0
-            src, dst = lo + dark[hit], pos[hit]
-            tog[src] = dst
-            tog[dst] = src
-            nxt = keys[lo + 1:lo + _SCAN_CHUNK + 1]
-            link[lo + 1:lo + 1 + len(nxt)] = nxt - part[:len(nxt)] == 1
-        return tog, link
+        link = np.zeros(len(keys) + 1, dtype=bool)
+        for lo in range(0, len(keys), _SCAN_CHUNK):
+            part = keys[lo:lo + _SCAN_CHUNK + 1]
+            link[lo + 1:lo + len(part)] = part[1:] - part[:-1] == 1
+        return self.toggles, link
+
+
+def _toggle_column(keys: np.ndarray) -> np.ndarray:
+    """Position in a sorted key table of each key's toggle neighbour
+    (int32, -1 where it is absent).  The toggle is an involution, so only
+    keys with the lamp under the cursor off are looked up, and each hit
+    fills both ends."""
+    tog = np.full(len(keys), -1, dtype=np.int32)
+    for lo in range(0, len(keys), _SCAN_CHUNK):
+        part = keys[lo:lo + _SCAN_CHUNK]
+        bit = np.uint64(1) << (np.uint64(_CUR_BITS) + (part & _CUR_MASK))
+        dark = np.flatnonzero((part & bit) == 0)
+        pos = _find(keys, part[dark] | bit[dark])
+        hit = pos >= 0
+        src, dst = lo + dark[hit], pos[hit]
+        tog[src] = dst
+        tog[dst] = src
+    return tog
 
 
 def _neighbor_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Toggle, right, left neighbors of packed keys (same window)."""
     toggled = keys ^ (np.uint64(1) << (np.uint64(_CUR_BITS) + (keys & _CUR_MASK)))
     return toggled, keys + np.uint64(1), keys - np.uint64(1)
+
+
+def ball_member_count(radius: int, member_cap: int = DEFAULT_MEMBER_CAP) -> int:
+    """|B(e, radius)| by the closed form, once radius is within the
+    packing window (else ValueError) and the count within the member cap
+    (else ResourceLimitError)."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if radius > _MAX_RADIUS:
+        raise ValueError(f"radius {radius} exceeds the packing window ({_MAX_RADIUS})")
+    members = sum(sphere_sizes(radius))
+    if members > member_cap:
+        raise ResourceLimitError(f"ball(radius={radius}) exceeds member cap {member_cap}")
+    return members
 
 
 def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER_CAP) -> Ball:
@@ -214,12 +248,7 @@ def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER
     closed-form count of the ball raises ResourceLimitError over the
     member cap before any level is built.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius > _MAX_RADIUS:
-        raise ValueError(f"radius {radius} exceeds the packing window ({_MAX_RADIUS})")
-    if sum(sphere_sizes(radius)) > member_cap:
-        raise ResourceLimitError(f"ball(radius={radius}) exceeds member cap {member_cap}")
+    ball_member_count(radius, member_cap)
     r = radius
     origin = np.array([r], dtype=np.uint64)  # identity: empty lamps, cursor 0
     levels = [origin]

@@ -33,6 +33,7 @@ from typing import Callable
 
 from .coarse import (
     PathSpec,
+    _line_stages,
     ball,
     circle_family_distortion,
     distance_to_path,
@@ -141,6 +142,7 @@ def _check_line_well_formed() -> tuple[bool, str]:
 def _check_stage_depth() -> tuple[bool, str]:
     worst = math.inf
     near = []  # (vertex, distance from e) of the stages below 2**10
+    lows = {}  # stage -> its min distance from e
     for n in range(4097):
         dists = [(v, word_distance(IDENTITY, v)) for v in stage_walk(n).vertices]
         if n < 1 << 10:
@@ -148,10 +150,20 @@ def _check_stage_depth() -> tuple[bool, str]:
         if n == 0:
             continue
         floor_log = n.bit_length() - 1
-        low = min(d for _, d in dists)
+        low = lows[n] = min(d for _, d in dists)
         if low < floor_log:
             return False, f"stage {n}: min distance {low} < floor(log2)={floor_log}"
         worst = min(worst, low - floor_log)
+    # a stage meets ball(e, r) once r >= low, so the line enumeration at
+    # radius low must already hold it: one enumeration per distinct low,
+    # since at one larger radius a stage enumerated too late would pass
+    enumerated = {
+        r: {s for stages in _line_stages(r).values() for s in stages[stages <= 4096].tolist()}
+        for r in set(lows.values())
+    }
+    for n, low in lows.items():
+        if n not in enumerated[low]:
+            return False, f"stage {n}: min distance {low} but not in _line_stages({low})"
     # the enumeration against a brute replay of every stage below 2**(r+2)
     stable = True
     for r in range(1, 9):

@@ -6,8 +6,10 @@ the record.  Each check's detail line is also pinned byte for byte: it is
 what `ll-coarse verify` prints, so a change to it is a change of output.
 """
 
+import numpy as np
 import pytest
 
+from lamplighter import coarse, verify
 from lamplighter.verify import check_ids, run_checks
 
 FROZEN_DETAILS = {
@@ -56,3 +58,25 @@ def test_criterion(results, check_id):
 @pytest.mark.parametrize("check_id", check_ids())
 def test_detail_is_frozen(results, check_id):
     assert results[check_id].detail == FROZEN_DETAILS[check_id]
+
+
+def test_stage_depth_check_catches_a_missing_line_stage(monkeypatch):
+    """Check 4 fails when the line enumeration drops the H = 3 branch (H
+    = 3 and every H grown from it, whose binary starts 11; stage 6, min
+    distance 6, is the first stage lost), a mutant that path-in-ball
+    agrees with on every ball of radius r <= 8."""
+    real = coarse._line_stages
+
+    def in_branch(h):
+        return h >= 3 and h >> (h.bit_length() - 2) == 3
+
+    def without_branch(radius):
+        return {k: np.array([s for s in stages.tolist() if not in_branch(s >> (k + 1))],
+                            dtype=np.uint64)
+                for k, stages in real(radius).items()}
+
+    monkeypatch.setattr(coarse, "_line_stages", without_branch)
+    monkeypatch.setattr(verify, "_line_stages", without_branch)
+    passed, detail = verify._check_stage_depth()
+    assert not passed
+    assert detail == "stage 6: min distance 6 but not in _line_stages(6)"

@@ -10,10 +10,12 @@ import time
 from contextlib import suppress
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from lamplighter import (
+    IDENTITY,
     PathSpec,
     ResourceLimitError,
     Walk,
@@ -657,6 +659,132 @@ class TestSeparateCommand:
         r = run(runner, cache_env, "separate", "--kind", "N", "--radius", "14",
                 "--max-radius", "14", "--probe-a", probe, "--out", "-")
         assert json.loads(r.output)["probes"][0]["distance_to_obstacle"] == want
+
+
+# probes in every ball of radius >= 9, at least 3 from N, R, I1 and C1
+FAR_PROBES = ("--probe-a", '{"cursor":-5,"lamps":[]}', "--probe-b", '{"cursor":6,"lamps":[]}')
+
+
+def rehash(path, data):
+    """Write data to a cache entry under a matching digest."""
+    path.write_bytes(data)
+    Path(f"{path}.sha256").write_text(hashlib.sha256(data).hexdigest() + "\n")
+
+
+BALL_CORRUPTIONS = {
+    "flipped-byte": lambda path, data: path.write_bytes(
+        data[:100] + bytes([data[100] ^ 1]) + data[101:]),
+    "truncated": lambda path, data: path.write_bytes(data[:-4]),
+    "no-sidecar": lambda path, data: Path(f"{path}.sha256").unlink(),
+    "wrong-sidecar": lambda path, data: Path(f"{path}.sha256").write_text("0" * 64 + "\n"),
+    "keys-out-of-order": lambda path, data: rehash(path, data[8:16] + data[:8] + data[16:]),
+    "toggle-past-the-end": lambda path, data: rehash(
+        path, data[:-4] + (len(data) // 12).to_bytes(4, "little")),
+}
+
+
+class TestBallCache:
+    """separate keeps ball(e, R) and its toggle column in ball-R.graph."""
+
+    def entry(self, env, radius):
+        return Path(env["LL_COARSE_CACHE_DIR"]) / f"ball-{radius}.graph"
+
+    def separate(self, runner, env, radius, *args, code=0):
+        return run(runner, env, "separate", "--radius", str(radius), "--max-radius", str(radius),
+                   *(args or ("--kind", "N")), *FAR_PROBES, code=code)
+
+    def no_build(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("the ball graph was built on a hit")
+
+        monkeypatch.setattr(coarse, "ball", build)
+        monkeypatch.setattr(coarse, "_toggle_column", build)
+
+    def test_hit_prints_the_miss_bytes_without_a_build(self, runner, cache_env, monkeypatch):
+        for radius in range(9, 13):
+            for kind in (["N"], ["R"], ["I", "--n", "1"], ["C", "--n", "1"]):
+                for k in ("0", "1"):
+                    args = ("--kind", *kind, "--k", k)
+                    self.entry(cache_env, radius).unlink(missing_ok=True)
+                    miss = self.separate(runner, cache_env, radius, *args)
+                    with monkeypatch.context() as m:
+                        self.no_build(m)
+                        hit = self.separate(runner, cache_env, radius, *args)
+                    assert hit.stdout_bytes == miss.stdout_bytes, (radius, args)
+                    assert miss.stderr == hit.stderr == ""
+            b = coarse.ball(IDENTITY, radius)
+            path = self.entry(cache_env, radius)
+            data = path.read_bytes()
+            assert Path(f"{path}.sha256").read_text() == hashlib.sha256(data).hexdigest() + "\n"
+            assert np.array_equal(np.frombuffer(data, "<u8", len(b)), b._keys)
+            assert np.array_equal(np.frombuffer(data, "<i4", offset=8 * len(b)), b._neighbors[0])
+
+    @pytest.mark.parametrize("corrupt", BALL_CORRUPTIONS.values(), ids=BALL_CORRUPTIONS.keys())
+    def test_corrupt_entry_is_reported_and_rewritten(self, runner, cache_env, corrupt):
+        miss = self.separate(runner, cache_env, 9)
+        path = self.entry(cache_env, 9)
+        data, digest = path.read_bytes(), Path(f"{path}.sha256").read_text()
+        corrupt(path, data)
+        again = self.separate(runner, cache_env, 9)
+        assert again.stdout_bytes == miss.stdout_bytes
+        assert again.stderr == "warning: corrupt cache entry ball-9.graph, ignoring\n"
+        assert path.read_bytes() == data
+        assert Path(f"{path}.sha256").read_text() == digest
+
+    def test_unwritable_cache_is_a_warning(self, runner, cache_env, tmp_path):
+        want = self.separate(runner, cache_env, 9).stdout_bytes
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        r = self.separate(runner, {"LL_COARSE_CACHE_DIR": str(blocker / "cache")}, 9)
+        assert r.stdout_bytes == want
+        assert r.stderr.startswith("warning: cache store failed: ")
+        assert r.stderr.count("\n") == 1
+
+    def test_failed_store_leaves_no_temp_file(self, runner, cache_env, monkeypatch):
+        replace = os.replace
+
+        def failing_sidecar(src, dst):
+            if str(dst).endswith(".sha256"):
+                raise OSError("no space left")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", failing_sidecar)
+        r = self.separate(runner, cache_env, 9)
+        assert r.stderr == "warning: cache store failed: no space left\n"
+        assert os.listdir(cache_env["LL_COARSE_CACHE_DIR"]) == []
+
+    @pytest.mark.parametrize("args,code,message", [
+        (["--radius", "12", "--max-radius", "12", "--member-cap", "100"], 3,
+         "resource limit: ball(radius=12) exceeds member cap 100"),
+        (["--radius", "13"], 2, "radius 13 exceeds the cap 12; raise it explicitly with --max-radius"),
+        (["--radius", "29", "--max-radius", "29"], 2, "radius 29 exceeds the packing window (28)"),
+        (["--radius", "12", "--max-radius", "12", "--k", "-1"], 2, "K must be nonnegative"),
+    ], ids=["member-cap", "radius-cap", "packing-window", "negative-k"])
+    def test_caps_fail_before_an_entry_is_read(self, runner, cache_env, monkeypatch,
+                                               args, code, message):
+        for radius in (12, 13):
+            self.separate(runner, cache_env, radius)
+
+        def no_read(*args):
+            raise AssertionError("a cache entry was read")
+
+        monkeypatch.setattr(cli, "_cached_ball", no_read)
+        self.no_build(monkeypatch)
+        r = run(runner, cache_env, "separate", "--kind", "N", *args, code=code)
+        assert message in r.stderr
+
+
+def test_ball_entry_through_the_real_entry(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LL_COARSE_CACHE_DIR": str(tmp_path)}
+    args = ["separate", "--kind", "N", "--radius", "12", "--max-radius", "12"]
+    outputs = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", ENTRY, *args], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0 and done.stderr == b"", done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
+    assert sorted(os.listdir(tmp_path)) == ["ball-12.graph", "ball-12.graph.sha256"]
 
 
 class TestVerifyCommand:

@@ -245,6 +245,24 @@ class TestPackedKernels:
         assert np.array_equal(np.where(link[1:], index + 1, -1), want[1])
         assert np.array_equal(np.where(link[:-1], index - 1, -1), want[2])
 
+    def test_given_toggles_are_not_searched(self, monkeypatch):
+        b = ball(IDENTITY, 10)
+        tog, link = b._neighbors
+
+        def no_search(keys):
+            raise AssertionError("the toggle column was searched for")
+
+        monkeypatch.setattr(coarse, "_toggle_column", no_search)
+        given = coarse.Ball(IDENTITY, 10, b.keys.copy(), tog.copy())
+        assert np.array_equal(given._neighbors[0], tog)
+        assert np.array_equal(given._neighbors[1], link)
+
+    @pytest.mark.parametrize("radius", [0, 1, 12, 28])
+    def test_member_count_is_the_closed_form(self, radius):
+        assert coarse.ball_member_count(radius, 1 << 40) == sum(sphere_sizes(radius))
+        with pytest.raises(ResourceLimitError):
+            coarse.ball_member_count(radius, sum(sphere_sizes(radius)) - 1)
+
     def test_vectorised_replay_matches_stage_steps(self):
         self.assert_replays_match(range(4097))
 
