@@ -4,10 +4,14 @@ A metric ball is the sorted table of its members' packed keys (lamp
 window plus cursor in one 64-bit word), found by breadth-first search;
 distances are the closed form on the keys.  Obstacles are the explicit
 walks; removing an obstacle neighborhood and decomposing what is left
-gives ball-local separation verdicts.  Enumeration of the infinite paths is
-truncated by provable per-stage lower bounds: lamps above the trailing
-block never change during a stage, so any stage whose persistent high
-bits already cost more than the budget cannot reach the ball.
+gives ball-local separation verdicts.  Every finite walk (interval,
+circle, the quasi-line's negative ray, a probe's seed stage) is read as
+lamp words replayed from its start and cursors, never as one
+Configuration per vertex; the profile join reads the same words.
+Enumeration of the infinite paths is truncated by provable per-stage
+lower bounds: lamps above the trailing block never change during a
+stage, so any stage whose persistent high bits already cost more than
+the budget cannot reach the ball.
 """
 
 from __future__ import annotations
@@ -265,16 +269,40 @@ def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER
     return Ball(center, radius, np.sort(np.concatenate(levels)))
 
 
-def _walk_keys_in_ball(walk_vertices: Iterable[Configuration], b: Ball) -> np.ndarray:
-    keys = []
-    for v in walk_vertices:
-        key = b.pack(v)
-        if key is not None:
-            keys.append(key)
-    if not keys:
-        return np.array([], dtype=np.uint64)
-    arr = _unique(np.array(keys, dtype=np.uint64))
-    return arr[_find(b._keys, arr) >= 0]
+def _members(b: Ball, keys: np.ndarray) -> np.ndarray:
+    """The distinct keys among keys that are members of b, sorted."""
+    keys = _unique(keys)
+    return keys[_find(b._keys, keys) >= 0]
+
+
+def _lamp_words(start: Configuration, cursors: Iterable[int], off: int
+                ) -> Iterator[tuple[int, int]]:
+    """(lamp word, cursor) at each vertex of the walk from start with
+    these cursors, lamp p at bit p + off (off must keep every lamp at a
+    bit >= 0).  A repeated cursor toggles the lamp under it."""
+    word = sum(1 << (p + off) for p in start.lamps)
+    prev = None
+    for cursor in cursors:
+        if cursor == prev:
+            word ^= 1 << (cursor + off)
+        prev = cursor
+        yield word, cursor
+
+
+def _walk_keys(start: Configuration, cursors: list[int], off: int) -> np.ndarray:
+    """Ball.pack keys (radius off), in walk order, of the vertices of the
+    walk from start with these cursors whose lamps and cursor all lie in
+    [-off, off].  Lamps outside the window are tracked too, so a vertex
+    with one of them lit is left out."""
+    low = max(off, -min(cursors), -min(start.lamps, default=0))
+    shift = low - off
+    outside = ~(((1 << (2 * off + 1)) - 1) << shift)
+    keys = [
+        ((word >> shift) << _CUR_BITS) | (cursor + off)
+        for word, cursor in _lamp_words(start, cursors, low)
+        if -off <= cursor <= off and not word & outside
+    ]
+    return np.array(keys, dtype=np.uint64)
 
 
 _MOVE = -2  # template gate of a cursor move: no lamp toggles
@@ -373,14 +401,8 @@ def _counter_line_keys_in_ball(b: Ball) -> np.ndarray:
     """Packed keys of half-quasi-line vertices inside an identity ball."""
     found = [np.array([], dtype=np.uint64)]
     for rows in _line_keys(b.radius, b.radius):
-        keys = _unique(rows.ravel())
-        found.append(keys[_find(b._keys, keys) >= 0])
+        found.append(_members(b, rows.ravel()))
     return _unique(np.concatenate(found))
-
-
-def _ray_vertices(max_index: int) -> list[Configuration]:
-    """Negative-ray vertices of the quasi-line out to anchor max_index."""
-    return quasi_line(max_index, 0).vertices[:-1]  # drop the identity
 
 
 def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
@@ -389,13 +411,14 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
     if b.center != IDENTITY:
         raise ValueError("path enumeration requires a ball centered at the identity")
     if spec.kind in ("I", "C"):
-        return _walk_keys_in_ball(path_walk(spec.kind, spec.n).vertices, b)
+        walk = path_walk(spec.kind, spec.n)
+        return _members(b, _walk_keys(walk.start, walk.cursors(), b.radius))
     line = _counter_line_keys_in_ball(b)
     if spec.kind == "N":
         return line
     # quasi-line: the ray anchor i sits at distance 2i, interpolants at 2i+1
-    ray = _walk_keys_in_ball(_ray_vertices(b.radius // 2 + 1), b)
-    return _unique(np.concatenate([line, ray]))
+    ray = quasi_line(b.radius // 2 + 1, 0)
+    return _members(b, np.concatenate([line, _walk_keys(ray.start, ray.cursors(), b.radius)]))
 
 
 def path_in_ball(spec: PathSpec, b: Ball) -> set[Configuration]:
@@ -432,12 +455,25 @@ def _packed_distance(keys: np.ndarray, off: int, vmask: int, vcur: int) -> np.nd
     return np.bitwise_count(diff).astype(np.int64) + 2 * (hi - lo) - np.abs(cur - vcur)
 
 
+def _walk_distance(v: Configuration, walk: Walk, off: int) -> int:
+    """Min word distance from v to the walk when it is at most off, else
+    some larger value.  The walk is packed relative to v (start v^-1
+    start, cursors shifted by -v.cursor): a vertex outside the radius-off
+    window then lies more than off from v."""
+    cursors = [c - v.cursor for c in walk.cursors()]
+    keys = _walk_keys(compose(invert(v), walk.start), cursors, off)
+    return min((int(_packed_distance(keys[lo:lo + _SCAN_CHUNK], off, 0, 0).min())
+                for lo in range(0, len(keys), _SCAN_CHUNK)), default=off + 1)
+
+
 def _distance_to_counter_line(v: Configuration, cap: int) -> int:
     """Min distance from v to the half-quasi-line when at most cap, else
     some larger value.
 
-    Seeded with d(e, v) and the stage that shows v's lamps at positions
-    >= 0.  Every vertex of a stage with origin bound r lies at least r
+    Seeded with d(e, v) and the distance to the stage that shows v's
+    lamps at positions >= 0, read in a window of radius min(cap,
+    _MAX_RADIUS) (a seed past it changes neither t below nor the
+    answer).  Every vertex of a stage with origin bound r lies at least r
     from the identity, so at least r - d(e, v) from v; with t = min(best
     - 1, cap), the largest distance still worth finding, only the stages
     of bound <= d(e, v) + t can come closer.  Those within the packing
@@ -450,7 +486,7 @@ def _distance_to_counter_line(v: Configuration, cap: int) -> int:
     """
     d0 = word_distance(IDENTITY, v)
     plus = sum(1 << p for p in v.lamps if p >= 0)
-    best = min(d0, min(word_distance(v, w) for w in stage_walk(plus).vertices))
+    best = min(d0, _walk_distance(v, stage_walk(plus), min(cap, _MAX_RADIUS)))
     off = _MAX_RADIUS
     t = min(best - 1, cap)
     if t >= 0 and all(abs(p) <= off for p in v.lamps):
@@ -469,29 +505,35 @@ def _distance_to_counter_line(v: Configuration, cap: int) -> int:
 def distance_to_path(v: Configuration, spec: PathSpec, cap: int):
     """Min word distance from v to the path if at most cap, else EXCEEDS.
 
-    The infinite kinds replay, in a single pass, every stage whose origin
+    I, C and the quasi-line's negative ray are packed relative to v in a
+    window of radius min(cap, 28) and scored by the closed form.  The
+    infinite kinds replay, in a single pass, every stage whose origin
     bound is at most d(e, v) + min(cap, best - 1), where best is the
     distance to the stage that shows v's lamps at positions >= 0.
     Raises ResourceLimitError when a stage that could still come closer
-    lies past the packing window (d(e, stage) > 28), or when v has a lamp
+    lies past the packing window (d(e, stage) > 28), when v has a lamp
     beyond +-28 and is not on the stage that shows its lamps at
-    positions >= 0.
+    positions >= 0, or, for I and C with cap > 28, when no vertex of the
+    walk lies within 28 of v.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    off = min(cap, _MAX_RADIUS)
     if spec.kind in ("I", "C"):
-        best = min(word_distance(v, w) for w in path_walk(spec.kind, spec.n).vertices)
+        best = _walk_distance(v, path_walk(spec.kind, spec.n), off)
+        if best > off and off < cap:
+            raise ResourceLimitError(
+                f"distance from {v!r} to {spec.kind}{spec.n} needs vertices"
+                f" past the packing window ({_MAX_RADIUS})"
+            )
     else:
         best = _distance_to_counter_line(v, cap)
         if spec.kind == "R":
             d0 = word_distance(IDENTITY, v)
-            limit = min(best - 1, cap)
-            # ray vertices sit at distance 2i and 2i+1 from the identity
-            max_anchor = max(0, (d0 + limit) // 2 + 1)
-            for w in _ray_vertices(max_anchor):
-                d = word_distance(v, w)
-                if d < best:
-                    best = d
+            # ray vertices sit at distance 2i and 2i+1 from the identity,
+            # and one that comes closer than best lies within off of v
+            max_anchor = max(0, (d0 + min(best - 1, cap)) // 2 + 1)
+            best = min(best, _walk_distance(v, quasi_line(max_anchor, 0), off))
     return best if best <= cap else EXCEEDS
 
 
@@ -593,7 +635,8 @@ def components_after_removal(b: Ball, removed: Iterable[Configuration]) -> list[
     maximum ball-graph distance from the removed set; None when nothing
     was removed.
     """
-    return _decompose(b, *_neighborhood(b, _walk_keys_in_ball(removed, b), 0))[1]
+    keys = np.array([k for k in map(b.pack, removed) if k is not None], dtype=np.uint64)
+    return _decompose(b, *_neighborhood(b, _members(b, keys), 0))[1]
 
 
 @dataclass(frozen=True)
@@ -753,27 +796,21 @@ def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ..
 
     d(v_i, v_j) = |v_i^-1 v_j|, so the pairs at distance d are those with
     v_j = v_i g for g in the sphere S(e, d).  Each vertex is packed once
-    into an int key (lamp bits above a cursor field, with m_max spare
-    positions below the lowest lamp and above the highest cursor, so
-    every translate by the ball packs too), and the translate of every
+    into an int key (its _lamp_words above a cursor field, with m_max
+    spare positions below the lowest lamp and above the highest cursor,
+    so every translate by the ball packs too), and the translate of every
     vertex by every ball member is looked up in the key index.  Members
     with cursor < 0 are skipped: g^-1 finds the pairs of g with the ends
     swapped, and a member with cursor 0 is its own inverse.
     """
     b = ball(IDENTITY, m_max)
     cursors = walk.cursors()[:n]
-    lamps = walk.start.lamps
     c_min = min(cursors)
     c_bits = (max(cursors) + m_max - c_min).bit_length()
-    base = min([c_min, *lamps]) - m_max
-    mask = sum(1 << (p - base + c_bits) for p in lamps)
+    base = min([c_min, *walk.start.lamps]) - m_max
     packed = []
     index = {}
-    prev = None
-    for i, cursor in enumerate(cursors):
-        if cursor == prev:  # a toggle
-            mask ^= 1 << (cursor - base + c_bits)
-        prev = cursor
+    for i, (mask, cursor) in enumerate(_lamp_words(walk.start, cursors, c_bits - base)):
         cur = cursor - c_min
         index[mask | cur] = i
         # g's lamp q, held at bit q + m_max of its ball key, lands on

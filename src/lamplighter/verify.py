@@ -231,7 +231,12 @@ def _check_intervals_circles() -> tuple[bool, str]:
         ps = probes(n)
         dx = distance_to_path(ps.x_n, PathSpec("I", n), cap=5 * n + 4)
         dy = distance_to_path(ps.y_n, PathSpec("I", n), cap=5 * n + 4)
-        dist_ok = dx is not EXCEEDS and dy is not EXCEEDS and dx >= n and dy >= n
+        # the packed replay against a scan of the interval's own vertices
+        brute = [min(word_distance(p, w) for w in interval.vertices) for p in (ps.x_n, ps.y_n)]
+        dist_ok = (
+            [dx, dy] == [d if d <= 5 * n + 4 else EXCEEDS for d in brute]
+            and dx is not EXCEEDS and dy is not EXCEEDS and dx >= n and dy >= n
+        )
         rep_i = separation_report(PathSpec("I", n), 0, 5 * n + 4, ps.x_n, ps.y_n)
         rep_c = separation_report(PathSpec("C", n), 0, 5 * n + 4, ps.x_n, ps.y_n)
         sep_ok = (

@@ -16,15 +16,21 @@ from click.testing import CliRunner
 
 from lamplighter import (
     IDENTITY,
+    Configuration,
     PathSpec,
     ResourceLimitError,
     Walk,
+    ball,
     circle_family_distortion,
     cli,
+    distance_to_path,
     distortion_profile,
     encode_config,
     half_quasi_line,
+    path_in_ball,
+    probes,
     quasi_circle,
+    separation_report,
     verify,
 )
 from lamplighter import coarse
@@ -137,6 +143,17 @@ def test_profiles_and_walk_files_do_not_build_vertices(runner, cache_env, monkey
     distortion_profile(PathSpec("R"), 2000, 4)
     distortion_profile(PathSpec("I", 2), 2000, 4)
     circle_family_distortion([1, 2, 3], 4)
+    b = ball(IDENTITY, 12)
+    ps = probes(2)
+    for spec, size, dists in ((PathSpec("I", 2), 324, [2, 2, 2, 7]),
+                              (PathSpec("C", 2), 330, [2, 3, 1, 7]),
+                              (PathSpec("R"), 155, [2, 1, 2, 0])):
+        assert len(path_in_ball(spec, b)) == size
+        report = separation_report(spec, 0, 12, ps.x_n, ps.y_n, prebuilt_ball=b)
+        assert report.verdict == "separated-in-ball"
+        probe_dists = [distance_to_path(v, spec, 12)
+                       for v in (ps.x_n, ps.y_n, ps.a_n, Configuration([5], -3))]
+        assert probe_dists == dists, spec
     miss = run(runner, cache_env, "walk", "--kind", "C", "--n", "2")
     assert len(os.listdir(cache_env["LL_COARSE_CACHE_DIR"])) == 2  # the walk and its digest
     hit = run(runner, cache_env, "walk", "--kind", "C", "--n", "2")

@@ -39,7 +39,7 @@ from lamplighter import (
 from lamplighter import coarse
 from lamplighter.coarse import PathSpec
 from lamplighter.group import sphere_sizes
-from lamplighter.walks import replay, stage_steps, trailing_ones
+from lamplighter.walks import path_walk, replay, stage_steps, trailing_ones
 
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
 
@@ -305,6 +305,31 @@ class TestPackedKernels:
             text = path.read_text()
             for token in ("np.unique(", "np.union1d(", "np.argsort(", "scipy"):
                 assert token not in text, (path.name, token)
+        # the coarse layer reads every walk as packed lamp words, never as
+        # one Configuration per vertex
+        assert ".vertices" not in Path(coarse.__file__).read_text()
+
+    @pytest.mark.parametrize("kind,n", [
+        *itertools.product("IC", range(1, 7)), ("R", 5), ("R", 14),
+    ])
+    def test_walk_keys_match_ball_pack_of_every_vertex(self, kind, n):
+        # kind R is the quasi-line's negative ray out to anchor n
+        walk = quasi_line(n, 0) if kind == "R" else path_walk(kind, n)
+        vertices = walk.vertices
+        lamps = [p for v in vertices for p in v.lamps]
+        extent = max(abs(p) for p in [*lamps, *walk.cursors()])
+        for off in (1, 6, extent):
+            window = coarse.Ball(IDENTITY, off, np.array([], dtype=np.uint64))
+            want = [key for key in map(window.pack, vertices) if key is not None]
+            got = coarse._walk_keys(walk.start, walk.cursors(), off)
+            assert got.dtype == np.uint64
+            assert got.tolist() == want, off
+            # on an interval or circle some vertex with its cursor in the
+            # window is dropped for a lamp outside it that the packer had
+            # to track (the ray clears its lamps in cursor order instead)
+            dropped = sum(abs(v.cursor) <= off for v in vertices) - len(want)
+            assert (dropped > 0) == (off < extent and walk.kind != "R"), off
+        assert len(got) == len(vertices)  # the whole walk fits its extent
 
 
 class TestPathSpec:
@@ -391,6 +416,31 @@ class TestDistanceToPath:
             brute = min(word_distance(v, u) for u in prefix)
             got = distance_to_path(v, PathSpec("N"), 8)
             assert got == (brute if brute <= 8 else EXCEEDS)
+        # the two-sided line against a prefix that holds every vertex
+        # within the cap of these probes (stages below 2**11, anchors out
+        # to 13), kept where the replay stays in the packing window
+        line = quasi_line(50, 30_000).vertices
+        checked = 0
+        while checked < 8:
+            v = Configuration(rng.sample(range(-6, 5), rng.randint(0, 4)), rng.randint(-5, 4))
+            for cap in (3, 6):
+                if word_distance(IDENTITY, v) + cap > coarse._MAX_RADIUS:
+                    continue
+                brute = min(word_distance(v, u) for u in line)
+                assert distance_to_path(v, PathSpec("R"), cap) == (
+                    brute if brute <= cap else EXCEEDS), (v, cap)
+                checked += 1
+        # intervals and circles, with probe lamps past the walk's extent
+        # [-2n, 4n] and caps up to the packing window
+        for kind, n in itertools.product("IC", (1, 2, 3)):
+            vertices = path_walk(kind, n).vertices
+            for _ in range(8):
+                v = Configuration(rng.sample(range(-12, 18), rng.randint(0, 5)),
+                                  rng.randint(-9, 14))
+                brute = min(word_distance(v, u) for u in vertices)
+                for cap in (4, 12, 28):
+                    got = distance_to_path(v, PathSpec(kind, n), cap)
+                    assert got == (brute if brute <= cap else EXCEEDS), (kind, n, v, cap)
 
     def test_packing_window_guard(self):
         far = Configuration([], 20)
@@ -400,6 +450,20 @@ class TestDistanceToPath:
         for lamps in ([-3, 40], [-40]):
             with pytest.raises(ResourceLimitError, match="packing window"):
                 distance_to_path(Configuration(lamps, 0), PathSpec("N"), 5)
+
+    @pytest.mark.parametrize("spec,gap", [(PathSpec("I", 1), 0), (PathSpec("C", 1), 1)])
+    def test_finite_walks_past_the_packing_window(self, spec, gap):
+        # the nearest vertex to a bare cursor far left is the walk's base,
+        # which on the circle has lamp 0 lit (one more toggle).  A cap past
+        # the window is answered when a vertex lies within 28 of the probe
+        # and raises, instead of guessing, when none does
+        assert distance_to_path(Configuration([], -20), spec, 40) == 20 + gap
+        assert distance_to_path(Configuration([], gap - 28), spec, 40) == 28
+        far = Configuration([], gap - 29)
+        assert distance_to_path(far, spec, 28) is EXCEEDS
+        for v in (far, Configuration([70], 0)):
+            with pytest.raises(ResourceLimitError, match="packing window"):
+                distance_to_path(v, spec, 29)
 
     @pytest.mark.parametrize("v,want,witness", [
         (Configuration([], -14), 14, IDENTITY),
