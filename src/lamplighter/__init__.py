@@ -30,7 +30,7 @@ from .walks import (
     quasi_interval,
     quasi_line,
     stage_config,
-    stage_steps,
+    stage_cursors,
     stage_walk,
     trailing_ones,
 )
@@ -59,7 +59,7 @@ __all__ = [
     "quasi_interval",
     "quasi_line",
     "stage_config",
-    "stage_steps",
+    "stage_cursors",
     "stage_walk",
     "trailing_ones",
     "Ball",

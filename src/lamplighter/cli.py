@@ -100,7 +100,7 @@ def _walk_chunks(walk: Walk) -> Iterator[bytes]:
     """The walk file of a walk: a header line, one vertex per line in
     batches of about _CHUNK bytes, then the milestones."""
     yield _line({"kind": walk.kind, "n": walk.n, "steps": walk.step_count})
-    yield from _batches(encode_vertices(walk.start, walk.cursors()))
+    yield from _batches(encode_vertices(walk.start, walk.cursors))
     yield _line({"milestones": dict(walk.milestones)})
 
 

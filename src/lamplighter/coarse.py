@@ -311,7 +311,7 @@ _ALWAYS = -1  # template gate of a toggle that every stage makes
 
 @lru_cache(maxsize=64)  # k < 64 for any uint64 stage
 def _stage_template(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The steps of walks.stage_steps shared by every stage with k
+    """The steps of walks.stage_cursors shared by every stage with k
     trailing ones, as three int64 arrays: the cursor after each step,
     the lamp it toggles (0 for a move), and its gate.
 
@@ -321,7 +321,7 @@ def _stage_template(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with all those bits set, each such toggle gated by its bit; with the
     bit clear the step repeats the previous vertex.
     """
-    cursors = np.array(stage_walk(((1 << (2 * k)) - 1) & ~(1 << k)).cursors(), dtype=np.int64)
+    cursors = np.array(stage_walk(((1 << (2 * k)) - 1) & ~(1 << k)).cursors, dtype=np.int64)
     cursor = cursors[1:]
     toggle = cursor == cursors[:-1]
     mirror = toggle & (-k < cursor) & (cursor < 0)
@@ -412,13 +412,13 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
         raise ValueError("path enumeration requires a ball centered at the identity")
     if spec.kind in ("I", "C"):
         walk = path_walk(spec.kind, spec.n)
-        return _members(b, _walk_keys(walk.start, walk.cursors(), b.radius))
+        return _members(b, _walk_keys(walk.start, walk.cursors, b.radius))
     line = _counter_line_keys_in_ball(b)
     if spec.kind == "N":
         return line
     # quasi-line: the ray anchor i sits at distance 2i, interpolants at 2i+1
     ray = quasi_line(b.radius // 2 + 1, 0)
-    return _members(b, np.concatenate([line, _walk_keys(ray.start, ray.cursors(), b.radius)]))
+    return _members(b, np.concatenate([line, _walk_keys(ray.start, ray.cursors, b.radius)]))
 
 
 def path_in_ball(spec: PathSpec, b: Ball) -> set[Configuration]:
@@ -460,7 +460,7 @@ def _walk_distance(v: Configuration, walk: Walk, off: int) -> int:
     some larger value.  The walk is packed relative to v (start v^-1
     start, cursors shifted by -v.cursor): a vertex outside the radius-off
     window then lies more than off from v."""
-    cursors = [c - v.cursor for c in walk.cursors()]
+    cursors = [c - v.cursor for c in walk.cursors]
     keys = _walk_keys(compose(invert(v), walk.start), cursors, off)
     return min((int(_packed_distance(keys[lo:lo + _SCAN_CHUNK], off, 0, 0).min())
                 for lo in range(0, len(keys), _SCAN_CHUNK)), default=off + 1)
@@ -804,7 +804,7 @@ def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ..
     swapped, and a member with cursor 0 is its own inverse.
     """
     b = ball(IDENTITY, m_max)
-    cursors = walk.cursors()[:n]
+    cursors = walk.cursors[:n]
     c_min = min(cursors)
     c_bits = (max(cursors) + m_max - c_min).bit_length()
     base = min([c_min, *walk.start.lamps]) - m_max

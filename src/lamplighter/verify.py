@@ -55,7 +55,6 @@ from .group import (
 )
 from .walks import (
     half_quasi_line,
-    mirror_steps,
     probes,
     quasi_circle,
     quasi_interval,
@@ -225,7 +224,7 @@ def _check_intervals_circles() -> tuple[bool, str]:
         circle = quasi_circle(n)
         i1 = interval.milestones["I1_end"]
         i2 = interval.milestones["I2_end"]
-        mirrored = interval.steps[i2:] == mirror_steps(interval.steps[:i1])
+        mirrored = interval.cursors[i2:] == [2 * n - c for c in interval.cursors[:i1 + 1]]
         final_ok = interval.end == Configuration(range(2 * n + 1), 2 * n)
         simple = interval.is_simple() and circle.closed and circle.is_simple()
         ps = probes(n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import islice, pairwise
 from typing import Iterable, Iterator
 
 from .group import IDENTITY, Configuration, Step, apply_step
@@ -34,8 +34,10 @@ def stage_config(n: int) -> Configuration:
     return Configuration((p for p in range(n.bit_length()) if (n >> p) & 1), 0)
 
 
-def stage_steps(n: int) -> Iterator[Step]:
-    """Generator moves carrying stage_config(n) to stage_config(n+1).
+def stage_cursors(n: int) -> Iterator[int]:
+    """The cursor after each generator move carrying stage_config(n) to
+    stage_config(n+1); a move that keeps the cursor toggles the lamp
+    under it.
 
     With k = trailing_ones(n) the walk: goes left to -k and lights a
     marker there; walks back, at -k+r matching the lamp to the one at
@@ -45,32 +47,29 @@ def stage_steps(n: int) -> Iterator[Step]:
     """
     k = trailing_ones(n)
     if k == 0:
-        yield Step.TOGGLE
+        yield 0
         return
-    for _ in range(k):
-        yield Step.LEFT
-    yield Step.TOGGLE
-    for r in range(1, k):
-        yield Step.RIGHT
-        if (n >> (k + r)) & 1:
-            yield Step.TOGGLE
-    yield Step.RIGHT
-    for _ in range(k):
-        yield Step.TOGGLE
-        yield Step.RIGHT
-    yield Step.TOGGLE
-    for _ in range(k):
-        yield Step.LEFT
+    yield from range(-1, -k - 1, -1)
+    yield -k
+    for r in range(1 - k, 0):
+        yield r
+        if (n >> (2 * k + r)) & 1:
+            yield r
+    yield 0
+    for c in range(k):
+        yield c
+        yield c + 1
+    yield k
+    yield from range(k - 1, -1, -1)
     for p in range(1, k + 1):
-        yield Step.LEFT
+        yield -p
         if p == k or (n >> (2 * k - p)) & 1:
-            yield Step.TOGGLE
-    for _ in range(k):
-        yield Step.RIGHT
+            yield -p
+    yield from range(1 - k, 1)
 
 
 def stage_step_count(n: int) -> int:
-    """len(list(stage_steps(n))) without generating the steps: one
+    """len(list(stage_cursors(n))) without generating the walk: one
     toggle when k = trailing_ones(n) is 0, else 7k + 3 moves and toggles
     plus two toggles (one copying, one clearing) for each set bit among
     bits k+1..2k-1 of n."""
@@ -90,36 +89,36 @@ def replay(start: Configuration, steps: Iterable[Step]) -> list[Configuration]:
     return vertices
 
 
-_CURSOR_MOVE = {Step.TOGGLE: 0, Step.RIGHT: 1, Step.LEFT: -1}
+_STEP = {0: Step.TOGGLE, 1: Step.RIGHT, -1: Step.LEFT}
 
 
 @dataclass(frozen=True)
 class Walk:
-    """A walk in the Cayley graph: start vertex plus generator steps.
+    """A walk in the Cayley graph: start vertex plus the cursor at each
+    vertex.
 
-    vertices is derived from start and steps on first access and always
-    satisfies vertices[i+1] = apply_step(vertices[i], steps[i]); code
-    that only needs the lamps and cursors reads start and cursors()
-    instead.  milestones maps labels to vertex indices.
+    cursors[0] == start.cursor, and step i toggles the lamp under the
+    cursor exactly when cursors[i + 1] == cursors[i], else it moves the
+    cursor by one.  steps is that reading as generators, and vertices
+    replays steps from start on first access; code that only needs the
+    lamps and cursors reads start and cursors instead.  milestones maps
+    labels to vertex indices.
     """
 
     start: Configuration
-    steps: tuple[Step, ...]
+    cursors: list[int]
     milestones: dict[str, int] = field(default_factory=dict)
     kind: str | None = None
     n: int | None = None
     closed: bool = False
 
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(_STEP[b - a] for a, b in pairwise(self.cursors))
+
     @cached_property
     def vertices(self) -> tuple[Configuration, ...]:
         return tuple(replay(self.start, self.steps))
-
-    def cursors(self) -> list[int]:
-        """The cursor at each vertex.  Step i toggles exactly when
-        cursors()[i + 1] == cursors()[i], and then it toggles the lamp
-        at that cursor."""
-        return list(accumulate(map(_CURSOR_MOVE.__getitem__, self.steps),
-                               initial=self.start.cursor))
 
     @property
     def end(self) -> Configuration:
@@ -127,7 +126,7 @@ class Walk:
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return len(self.cursors) - 1
 
     def is_simple(self) -> bool:
         """No repeated vertex; a closed walk may repeat only its endpoint."""
@@ -141,15 +140,7 @@ class Walk:
 
 def stage_walk(n: int) -> Walk:
     """The stage-n segment of the half-quasi-line as a standalone walk."""
-    return Walk(stage_config(n), tuple(stage_steps(n)))
-
-
-_MIRROR = {Step.TOGGLE: Step.TOGGLE, Step.RIGHT: Step.LEFT, Step.LEFT: Step.RIGHT}
-
-
-def mirror_steps(steps: Iterable[Step]) -> tuple[Step, ...]:
-    """Swap left and right moves, keeping toggles."""
-    return tuple(_MIRROR[s] for s in steps)
+    return Walk(stage_config(n), [0, *stage_cursors(n)])
 
 
 def half_quasi_line(num_steps: int) -> Walk:
@@ -160,19 +151,16 @@ def half_quasi_line(num_steps: int) -> Walk:
     """
     if num_steps < 0:
         raise ValueError("num_steps must be nonnegative")
-    steps: list[Step] = []
+    cursors = [0]
     milestones = {"c0": 0}
     stage = 0
-    while len(steps) < num_steps:
-        stage_list = list(stage_steps(stage))
+    while len(cursors) <= num_steps:
+        cursors.extend(stage_cursors(stage))
         stage += 1
-        if len(stage_list) <= num_steps - len(steps):
-            steps.extend(stage_list)
-            milestones[f"c{stage}"] = len(steps)
-        else:
-            steps.extend(stage_list[: num_steps - len(steps)])
-            break
-    return Walk(IDENTITY, tuple(steps), milestones, kind="N")
+        if len(cursors) <= num_steps + 1:
+            milestones[f"c{stage}"] = len(cursors) - 1
+    del cursors[num_steps + 1:]
+    return Walk(IDENTITY, cursors, milestones, kind="N")
 
 
 def quasi_line(neg_len: int, pos_steps: int) -> Walk:
@@ -186,17 +174,16 @@ def quasi_line(neg_len: int, pos_steps: int) -> Walk:
     if neg_len < 0 or pos_steps < 0:
         raise ValueError("lengths must be nonnegative")
     start = Configuration(range(-neg_len, 0), -neg_len)
-    steps: list[Step] = []
-    for _ in range(neg_len):
-        steps.append(Step.TOGGLE)
-        steps.append(Step.RIGHT)
+    cursors = [-neg_len]
+    for c in range(-neg_len, 0):
+        cursors += (c, c + 1)
     positive = half_quasi_line(pos_steps)
-    offset = len(steps)
+    offset = len(cursors) - 1
     milestones = {"origin": offset}
     for label, idx in positive.milestones.items():
         milestones[label] = offset + idx
-    steps.extend(positive.steps)
-    return Walk(start, tuple(steps), milestones, kind="R")
+    cursors += positive.cursors[1:]
+    return Walk(start, cursors, milestones, kind="R")
 
 
 def _segment_one_stages(n: int) -> int:
@@ -213,20 +200,21 @@ def quasi_interval(n: int) -> Walk:
     1..2n (one stage short of the full low block, so that segment two
     can leave without retracing an edge).  Segment two sweeps right,
     clearing lamps 1..2n-1 and keeping lamp 2n.  Segment three replays
-    segment one mirrored, which by reflection ends with lamps 0..2n lit
-    and the cursor at 2n.  Milestones mark the two junctions.  Length
-    grows like 4**n; callers should keep n at most 6.
+    segment one mirrored, each cursor c as 2n - c, and so ends with
+    lamps 0..2n lit and the cursor at 2n.  Milestones mark the two
+    junctions.  Length grows like 4**n; callers should keep n at most 6.
     """
-    seg1: list[Step] = []
+    cursors = [0]
     for stage in range(_segment_one_stages(n)):
-        seg1.extend(stage_steps(stage))
-    seg2: list[Step] = [Step.RIGHT]
-    for _ in range(2 * n - 1):
-        seg2.append(Step.TOGGLE)
-        seg2.append(Step.RIGHT)
-    seg3 = mirror_steps(seg1)
-    milestones = {"I1_end": len(seg1), "I2_end": len(seg1) + len(seg2)}
-    return Walk(IDENTITY, (*seg1, *seg2, *seg3), milestones, kind="I", n=n)
+        cursors.extend(stage_cursors(stage))
+    i1 = len(cursors) - 1
+    cursors.append(1)
+    for c in range(1, 2 * n):
+        cursors += (c, c + 1)
+    i2 = len(cursors) - 1
+    # segment one reflected, read in place: islice stops before what it appends
+    cursors.extend(map((2 * n).__sub__, islice(cursors, 1, i1 + 1)))
+    return Walk(IDENTITY, cursors, {"I1_end": i1, "I2_end": i2}, kind="I", n=n)
 
 
 def quasi_circle(n: int) -> Walk:
@@ -240,17 +228,16 @@ def quasi_circle(n: int) -> Walk:
     of the first segment.
     """
     interval = quasi_interval(n)
-    steps = list(interval.steps[1:])
+    cursors = interval.cursors[1:]
     milestones = {
         label: idx - 1 for label, idx in interval.milestones.items()
     }
-    milestones["closing_start"] = len(steps)
-    steps.append(Step.TOGGLE)
-    for _ in range(2 * n - 1):
-        steps.append(Step.LEFT)
-        steps.append(Step.TOGGLE)
-    steps.append(Step.LEFT)
-    return Walk(Configuration((0,), 0), tuple(steps), milestones, kind="C", n=n, closed=True)
+    milestones["closing_start"] = len(cursors) - 1
+    cursors.append(2 * n)
+    for c in range(2 * n - 1, 0, -1):
+        cursors += (c, c)
+    cursors.append(0)
+    return Walk(Configuration((0,), 0), cursors, milestones, kind="C", n=n, closed=True)
 
 
 def path_walk(kind: str, n: int | None = None, steps: int | None = None) -> Walk:

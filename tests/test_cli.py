@@ -132,6 +132,33 @@ def test_walk_text_matches_the_vertices(kind, n, steps):
         assert lines[-2] == lines[1]
 
 
+# sha256 of the `ll-coarse walk --out -` bytes, frozen from the walks as
+# built from generator steps, before they were built as cursors
+WALK_FILE_DIGESTS = {
+    ("N", "--steps", 5000): "07c7aff9bd182027f04f8c8db42b2bbbb73c768ec1fa07355d2d4242da271b5e",
+    ("R", "--steps", 2000): "869b930c9524347dc187dad2076e9f903beeeb99203644987a0b9a85ceb7b01d",
+    ("I", "--n", 1): "3cec039a99ed660a55122586baaabde52ad7d961f7f422404215b62b189550c5",
+    ("I", "--n", 2): "81d02efaf38747a499b834d4c88ed37d6fdcf5dd8153280ae542330008c288e1",
+    ("I", "--n", 3): "31c7e5feb21483e4a2318115adcab1b10b4633f599b2647aa35d61fa4e4cf82e",
+    ("I", "--n", 4): "78b28e1413f738fd8cd72f1258f9ebd1186fb953ee4a208835d2eb30315fd527",
+    ("I", "--n", 5): "286199c744c2c52393819abb98abdcec898378ea92cb76b466ce649a614e1c04",
+    ("I", "--n", 6): "f2ff613aaf0d0c6d7d55f8b7d55fec44ac43ab95849599deb69c141d6cf5887f",
+    ("C", "--n", 1): "855f2e33f84ce7f7770b0e33ae2b6d620d56f3c666e55ff25dfda073aae0ebc8",
+    ("C", "--n", 2): "8f1bd10426d88dc632e62552bf54b0238e83216bcbd7cd90e77841c23bb6405e",
+    ("C", "--n", 3): "e71580bbebd76b8ea8a28af5babb1450d80da9eb4c017f2cbea0948a0e95f62b",
+    ("C", "--n", 4): "fd9193498b710c9331ed549ea5c31d9ef70161ff781ef1ec2b4cebc13017f831",
+    ("C", "--n", 5): "f7c3bc1e2fe881a7bb4b6521f0d91a10ce01d71179a47f7874cd63a3229ab830",
+    ("C", "--n", 6): "3e1e744e2d396dcf41d1519fd30d692d20f80ade689d553769a477b00153fe25",
+}
+
+
+@pytest.mark.parametrize("kind,flag,value", WALK_FILE_DIGESTS,
+                         ids=[f"{k}{v}" for k, _, v in WALK_FILE_DIGESTS])
+def test_walk_file_bytes_are_frozen(runner, cache_env, kind, flag, value):
+    r = run(runner, cache_env, "walk", "--kind", kind, flag, str(value), "--out", "-")
+    assert hashlib.sha256(r.stdout_bytes).hexdigest() == WALK_FILE_DIGESTS[kind, flag, value]
+
+
 def test_profiles_and_walk_files_do_not_build_vertices(runner, cache_env, monkeypatch):
     def no_vertices(self):
         raise AssertionError("Walk.vertices was built")
@@ -519,7 +546,7 @@ PACKAGE_NAMES = """
 EXCEEDS IDENTITY CodecError Configuration Step apply_step bfs_ball compose
 decode_config dyadic_views encode_config generator invert neighbors word_distance
 ProbeSet Walk half_quasi_line probes quasi_circle quasi_interval quasi_line
-stage_config stage_steps stage_walk trailing_ones Ball CircleFamilyDistortion
+stage_config stage_cursors stage_walk trailing_ones Ball CircleFamilyDistortion
 Component DistortionProfile PathSpec ProbeInsideObstacleError ProbeOutsideBallError
 ProbePlacement ResourceLimitError SeparationReport ball circle_family_distortion
 components_after_removal distance_to_path distortion_profile path_in_ball

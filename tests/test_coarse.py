@@ -1,5 +1,6 @@
 """Coarse layer: packed balls, path membership, components, distortion."""
 
+import ast
 import itertools
 import json
 import random
@@ -36,10 +37,10 @@ from lamplighter import (
     stage_walk,
     word_distance,
 )
-from lamplighter import coarse
+from lamplighter import cli, coarse
 from lamplighter.coarse import PathSpec
 from lamplighter.group import sphere_sizes
-from lamplighter.walks import path_walk, replay, stage_steps, trailing_ones
+from lamplighter.walks import path_walk, trailing_ones
 
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
 
@@ -160,10 +161,10 @@ def rewindow(keys, r, to):
 
 
 def packed_stage_replay(stage, off):
-    """Packed keys of the vertices of stage_steps(stage), one by one."""
+    """Packed keys of the vertices of stage_walk(stage), one by one."""
     return [
         (sum(1 << (p + off) for p in v.lamps) << coarse._CUR_BITS) | (v.cursor + off)
-        for v in replay(stage_config(stage), stage_steps(stage))
+        for v in stage_walk(stage).vertices
     ]
 
 
@@ -308,6 +309,15 @@ class TestPackedKernels:
         # the coarse layer reads every walk as packed lamp words, never as
         # one Configuration per vertex
         assert ".vertices" not in Path(coarse.__file__).read_text()
+        # and the walk readers read a walk's start and cursors, never its
+        # Step view
+        for module in (coarse, cli):
+            tree = ast.parse(Path(module.__file__).read_text())
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for a in node.names}
+            attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert "Step" not in names | attrs and "steps" not in attrs, module.__name__
 
     @pytest.mark.parametrize("kind,n", [
         *itertools.product("IC", range(1, 7)), ("R", 5), ("R", 14),
@@ -317,11 +327,11 @@ class TestPackedKernels:
         walk = quasi_line(n, 0) if kind == "R" else path_walk(kind, n)
         vertices = walk.vertices
         lamps = [p for v in vertices for p in v.lamps]
-        extent = max(abs(p) for p in [*lamps, *walk.cursors()])
+        extent = max(abs(p) for p in [*lamps, *walk.cursors])
         for off in (1, 6, extent):
             window = coarse.Ball(IDENTITY, off, np.array([], dtype=np.uint64))
             want = [key for key in map(window.pack, vertices) if key is not None]
-            got = coarse._walk_keys(walk.start, walk.cursors(), off)
+            got = coarse._walk_keys(walk.start, walk.cursors, off)
             assert got.dtype == np.uint64
             assert got.tolist() == want, off
             # on an interval or circle some vertex with its cursor in the

@@ -20,7 +20,6 @@ from lamplighter import (
 )
 from lamplighter.walks import (
     intrinsic_step_count,
-    mirror_steps,
     path_walk,
     replay,
     stage_step_count,
@@ -80,14 +79,33 @@ class TestStagePrimitives:
                 assert -k <= v.cursor <= k
 
 
+def assert_cursor_format(w):
+    """One cursor per vertex, the first the start's, each step moving
+    it by at most one."""
+    c = w.cursors
+    assert c[0] == w.start.cursor
+    assert {b - a for a, b in zip(c, c[1:])} <= {-1, 0, 1}
+    assert len(c) == w.step_count + 1
+
+
 class TestClosedFormStepCounts:
     def test_stage_step_count_matches_the_stage_walks(self):
-        assert all(stage_step_count(n) == stage_walk(n).step_count for n in range(4096))
+        for n in range(4096):
+            w = stage_walk(n)
+            assert_cursor_format(w)
+            assert stage_step_count(n) == w.step_count
 
     @pytest.mark.parametrize("kind", ["I", "C"])
     @pytest.mark.parametrize("n", range(1, 7))
     def test_intrinsic_step_count_matches_the_built_walks(self, kind, n):
-        assert intrinsic_step_count(kind, n) == path_walk(kind, n).step_count
+        w = path_walk(kind, n)
+        assert_cursor_format(w)
+        assert intrinsic_step_count(kind, n) == w.step_count
+
+    def test_lines_keep_the_cursor_format(self):
+        for w, steps in ((half_quasi_line(5000), 5000), (quasi_line(50, 3000), 2 * 50 + 3000)):
+            assert_cursor_format(w)
+            assert w.step_count == steps
 
     def test_open_kinds_have_no_intrinsic_length(self):
         with pytest.raises(ValueError):
@@ -125,15 +143,6 @@ class TestHalfQuasiLine:
         w = half_quasi_line(400)
         hits = [int(k[1:]) for k in w.milestones]
         assert hits == list(range(len(hits)))
-
-
-class TestMirror:
-    def test_swaps_left_right(self):
-        assert mirror_steps([T, R, L]) == (T, L, R)
-
-    @given(st.lists(st.sampled_from([T, R, L]), max_size=40))
-    def test_involution(self, steps):
-        assert mirror_steps(mirror_steps(steps)) == tuple(steps)
 
 
 class TestQuasiLine:
@@ -200,9 +209,9 @@ class TestQuasiInterval:
     def test_third_segment_mirrors_first(self, n):
         w = quasi_interval(n)
         i1, i2 = w.milestones["I1_end"], w.milestones["I2_end"]
-        seg1 = w.steps[:i1]
-        seg3 = w.steps[i2:]
-        assert seg3 == mirror_steps(seg1)
+        # segment one runs from cursor 0 and segment three from 2n with
+        # every move reversed and every toggle kept
+        assert w.cursors[i2:] == [2 * n - c for c in w.cursors[:i1 + 1]]
 
     def test_first_segment_is_half_line_prefix(self):
         w = quasi_interval(2)
