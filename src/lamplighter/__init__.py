@@ -9,14 +9,11 @@ from .group import (
     ProbeInsideObstacleError,
     ProbeOutsideBallError,
     ResourceLimitError,
-    Step,
-    apply_step,
     bfs_ball,
     compose,
     decode_config,
     dyadic_views,
     encode_config,
-    generator,
     invert,
     neighbors,
     word_distance,
@@ -40,14 +37,11 @@ __all__ = [
     "IDENTITY",
     "CodecError",
     "Configuration",
-    "Step",
-    "apply_step",
     "bfs_ball",
     "compose",
     "decode_config",
     "dyadic_views",
     "encode_config",
-    "generator",
     "invert",
     "neighbors",
     "word_distance",

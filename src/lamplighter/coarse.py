@@ -156,12 +156,6 @@ class Ball:
     def __contains__(self, g: Configuration) -> bool:
         return self._position(g) >= 0
 
-    def distance(self, g: Configuration) -> int:
-        """Exact distance from the center to a member."""
-        if self._position(g) < 0:
-            raise KeyError(f"{g!r} is not in the ball")
-        return word_distance(self.center, g)
-
     def items(self) -> Iterator[tuple[Configuration, int]]:
         """(member, distance) pairs in deterministic packed order."""
         for key, d in zip(self._keys, self._dists):

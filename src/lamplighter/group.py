@@ -1,4 +1,4 @@
-"""Lamplighter group core: configurations, generator moves, word metric.
+"""Lamplighter group core: configurations, group law, word metric.
 
 The group is the restricted wreath product of the order-2 group by the
 integers.  An element is a finitely supported lamp pattern over Z together
@@ -14,19 +14,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from collections import deque
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
-
-
-class Step(Enum):
-    """One generator move of the lamplighter."""
-
-    TOGGLE = "toggle"
-    RIGHT = "right"
-    LEFT = "left"
 
 
 class _Exceeds:
@@ -65,27 +56,6 @@ class Configuration:
 
 
 IDENTITY = Configuration((), 0)
-
-_GENERATORS = {
-    Step.TOGGLE: Configuration((0,), 0),
-    Step.RIGHT: Configuration((), 1),
-    Step.LEFT: Configuration((), -1),
-}
-
-
-def generator(step: Step) -> Configuration:
-    """The group element realised by a single generator move."""
-    return _GENERATORS[step]
-
-
-def apply_step(g: Configuration, step: Step) -> Configuration:
-    """Right-multiply g by one generator move."""
-    if step is Step.TOGGLE:
-        return Configuration(g.lamps ^ {g.cursor}, g.cursor)
-    if step is Step.RIGHT:
-        return Configuration(g.lamps, g.cursor + 1)
-    return Configuration(g.lamps, g.cursor - 1)
-
 
 def compose(g: Configuration, h: Configuration) -> Configuration:
     """Group product: h's lamps are laid down relative to g's cursor."""
@@ -167,10 +137,11 @@ def sphere_sizes(radius: int) -> tuple[int, ...]:
 
 
 def neighbors(g: Configuration) -> Iterator[Configuration]:
-    """The (up to three) distinct Cayley-graph neighbors of g."""
-    yield apply_step(g, Step.TOGGLE)
-    yield apply_step(g, Step.RIGHT)
-    yield apply_step(g, Step.LEFT)
+    """The three Cayley-graph neighbors of g: g right-multiplied by each
+    generator, toggle the lamp under the cursor, move right, move left."""
+    yield Configuration(g.lamps ^ {g.cursor}, g.cursor)
+    yield Configuration(g.lamps, g.cursor + 1)
+    yield Configuration(g.lamps, g.cursor - 1)
 
 
 def bfs_ball(center: Configuration, radius: int) -> dict[Configuration, int]:

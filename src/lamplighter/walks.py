@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, pairwise
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterator
 
-from .group import IDENTITY, Configuration, Step, apply_step
+from .group import IDENTITY, Configuration
 
 
 def trailing_ones(n: int) -> int:
@@ -79,19 +79,6 @@ def stage_step_count(n: int) -> int:
     return 7 * k + 3 + 2 * ((n >> (k + 1)) & ((1 << (k - 1)) - 1)).bit_count()
 
 
-def replay(start: Configuration, steps: Iterable[Step]) -> list[Configuration]:
-    """All vertices visited when applying steps from start."""
-    vertices = [start]
-    current = start
-    for s in steps:
-        current = apply_step(current, s)
-        vertices.append(current)
-    return vertices
-
-
-_STEP = {0: Step.TOGGLE, 1: Step.RIGHT, -1: Step.LEFT}
-
-
 @dataclass(frozen=True)
 class Walk:
     """A walk in the Cayley graph: start vertex plus the cursor at each
@@ -99,10 +86,10 @@ class Walk:
 
     cursors[0] == start.cursor, and step i toggles the lamp under the
     cursor exactly when cursors[i + 1] == cursors[i], else it moves the
-    cursor by one.  steps is that reading as generators, and vertices
-    replays steps from start on first access; code that only needs the
-    lamps and cursors reads start and cursors instead.  milestones maps
-    labels to vertex indices.
+    cursor by one.  vertices replays the cursors from start on first
+    access, one Configuration per vertex; code that only needs the lamps
+    and cursors reads start and cursors instead.  milestones maps labels
+    to vertex indices.
     """
 
     start: Configuration
@@ -112,13 +99,16 @@ class Walk:
     n: int | None = None
     closed: bool = False
 
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(_STEP[b - a] for a, b in pairwise(self.cursors))
-
     @cached_property
     def vertices(self) -> tuple[Configuration, ...]:
-        return tuple(replay(self.start, self.steps))
+        lamps, prev = self.start.lamps, None
+        vertices = []
+        for c in self.cursors:
+            if c == prev:
+                lamps = lamps ^ {c}
+            vertices.append(Configuration(lamps, c))
+            prev = c
+        return tuple(vertices)
 
     @property
     def end(self) -> Configuration:

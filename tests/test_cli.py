@@ -543,8 +543,8 @@ def test_package_names_resolve_on_first_use():
 
 
 PACKAGE_NAMES = """
-EXCEEDS IDENTITY CodecError Configuration Step apply_step bfs_ball compose
-decode_config dyadic_views encode_config generator invert neighbors word_distance
+EXCEEDS IDENTITY CodecError Configuration bfs_ball compose
+decode_config dyadic_views encode_config invert neighbors word_distance
 ProbeSet Walk half_quasi_line probes quasi_circle quasi_interval quasi_line
 stage_config stage_cursors stage_walk trailing_ones Ball CircleFamilyDistortion
 Component DistortionProfile PathSpec ProbeInsideObstacleError ProbeOutsideBallError

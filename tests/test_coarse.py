@@ -37,7 +37,7 @@ from lamplighter import (
     stage_walk,
     word_distance,
 )
-from lamplighter import cli, coarse
+from lamplighter import coarse
 from lamplighter.coarse import PathSpec
 from lamplighter.group import sphere_sizes
 from lamplighter.walks import path_walk, trailing_ones
@@ -96,10 +96,7 @@ class TestBall:
     def test_membership_and_distance(self, ball6):
         v = Configuration([1], 0)
         assert v in ball6
-        assert ball6.distance(v) == 3
         assert Configuration([], 7) not in ball6
-        with pytest.raises(KeyError):
-            ball6.distance(Configuration([], 7))
 
     def test_pack_unpack_round_trip(self, ball6):
         for v, _ in ball6.items():
@@ -108,10 +105,7 @@ class TestBall:
     def test_centered_ball_is_translate(self):
         g = Configuration([2, -1], 1)
         b = ball(g, 3)
-        shifted = {v for v, _ in b.items()}
-        assert shifted == {compose(g, v) for v in bfs_ball(IDENTITY, 3)}
-        for v, d in bfs_ball(IDENTITY, 3).items():
-            assert b.distance(compose(g, v)) == d
+        assert dict(b.items()) == {compose(g, v): d for v, d in bfs_ball(IDENTITY, 3).items()}
 
     def test_radius_window_guard(self):
         with pytest.raises(ValueError, match="packing window"):
@@ -309,15 +303,20 @@ class TestPackedKernels:
         # the coarse layer reads every walk as packed lamp words, never as
         # one Configuration per vertex
         assert ".vertices" not in Path(coarse.__file__).read_text()
-        # and the walk readers read a walk's start and cursors, never its
-        # Step view
-        for module in (coarse, cli):
-            tree = ast.parse(Path(module.__file__).read_text())
-            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-            names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                      for a in node.names}
-            attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-            assert "Step" not in names | attrs and "steps" not in attrs, module.__name__
+        # a walk is its start and its cursors: no module keeps a step view
+        # of it (the Step enum, apply_step, generator, replay, Walk.steps)
+        # or Ball.distance, by name, import, definition or attribute
+        for path in Path(coarse.__file__).parent.glob("*.py"):
+            nodes = list(ast.walk(ast.parse(path.read_text())))
+            defs = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            names = defs | {node.id for node in nodes if isinstance(node, ast.Name)}
+            names |= {name for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                      for a in node.names for name in (a.name, a.asname)}
+            attrs = defs | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            attrs |= {stmt.target.id for node in nodes if isinstance(node, ast.ClassDef)
+                      for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
+            assert not (names | attrs) & {"Step", "apply_step", "generator", "replay"}, path.name
+            assert not attrs & {"steps", "distance"}, path.name
 
     @pytest.mark.parametrize("kind,n", [
         *itertools.product("IC", range(1, 7)), ("R", 5), ("R", 14),
@@ -675,7 +674,7 @@ class TestSeparationReport:
         pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
         rep = separation_report(spec, 0, 12, pa, pb, prebuilt_ball=b)
         assert rep.verdict == "separated-in-ball"
-        assert pa in b and b.distance(pa) == word_distance(IDENTITY, pa)
+        assert pa in b
         assert "_dists" not in b.__dict__
         assert b.sphere_sizes() == list(sphere_sizes(12))
         assert "_dists" in b.__dict__

@@ -10,14 +10,11 @@ from lamplighter import (
     IDENTITY,
     CodecError,
     Configuration,
-    Step,
-    apply_step,
     bfs_ball,
     compose,
     decode_config,
     dyadic_views,
     encode_config,
-    generator,
     invert,
     neighbors,
     stage_config,
@@ -29,31 +26,38 @@ configs = st.builds(
     st.frozensets(st.integers(-8, 8), max_size=6),
     st.integers(-8, 8),
 )
-steps = st.sampled_from(list(Step))
 
 
-class TestApplyStep:
+class TestNeighbors:
     def test_toggle_lights_at_cursor(self):
-        assert apply_step(IDENTITY, Step.TOGGLE) == Configuration([0], 0)
+        toggle, _, _ = neighbors(IDENTITY)
+        assert toggle == Configuration([0], 0)
 
     def test_toggle_is_involution_at_origin(self):
-        lit = Configuration([0], 0)
-        assert apply_step(lit, Step.TOGGLE) == IDENTITY
+        toggle, _, _ = neighbors(Configuration([0], 0))
+        assert toggle == IDENTITY
 
     def test_right_shifts_cursor(self):
-        assert apply_step(IDENTITY, Step.RIGHT) == Configuration([], 1)
+        _, right, _ = neighbors(IDENTITY)
+        assert right == Configuration([], 1)
 
     @given(configs)
     def test_right_left_cancel(self, c):
-        assert apply_step(apply_step(c, Step.RIGHT), Step.LEFT) == c
+        _, right, _ = neighbors(c)
+        _, _, back = neighbors(right)
+        assert back == c
 
     @given(configs)
     def test_toggle_twice_is_identity(self, c):
-        assert apply_step(apply_step(c, Step.TOGGLE), Step.TOGGLE) == c
+        toggle, _, _ = neighbors(c)
+        again, _, _ = neighbors(toggle)
+        assert again == c
 
-    @given(configs, steps)
-    def test_matches_composition_with_generator(self, c, s):
-        assert apply_step(c, s) == compose(c, generator(s))
+    @given(configs)
+    def test_matches_composition_with_generator(self, c):
+        # toggle, right, left as group elements
+        generators = (Configuration([0], 0), Configuration([], 1), Configuration([], -1))
+        assert list(neighbors(c)) == [compose(c, x) for x in generators]
 
 
 class TestCompose:

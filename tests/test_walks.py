@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lamplighter import (
     IDENTITY,
     Configuration,
-    Step,
     half_quasi_line,
     probes,
     quasi_circle,
@@ -21,11 +20,8 @@ from lamplighter import (
 from lamplighter.walks import (
     intrinsic_step_count,
     path_walk,
-    replay,
     stage_step_count,
 )
-
-T, R, L = Step.TOGGLE, Step.RIGHT, Step.LEFT
 
 
 class TestStagePrimitives:
@@ -40,13 +36,13 @@ class TestStagePrimitives:
 
     def test_first_stage_is_single_toggle(self):
         w = stage_walk(0)
-        assert w.steps == (T,)
+        assert w.cursors == [0, 0]
         assert w.start == IDENTITY
         assert w.end == Configuration([0], 0)
 
     def test_second_stage_exact_sequence(self):
         w = stage_walk(1)
-        assert w.steps == (L, T, R, T, R, T, L, L, T, R)
+        assert w.cursors == [0, -1, -1, 0, 0, 1, 1, 0, -1, -1, 0]
         expected = [
             Configuration([0], 0),
             Configuration([0], -1),
@@ -71,12 +67,31 @@ class TestStagePrimitives:
         assert w.end == stage_config(n + 1)
         assert w.is_simple()
         assert w.step_count <= 9 * k + 3
-        # Cursor excursion and every toggled position stay within k cells of
-        # the stage's home column.
-        for v, s in zip(w.vertices, w.steps):
+        assert_is_walk(w)
+        # The cursor, and so every toggled position, stays within k cells
+        # of the stage's home column.
+        for v in w.vertices:
             assert -k <= v.cursor <= k
-            if s is T:
-                assert -k <= v.cursor <= k
+
+
+def assert_is_walk(w):
+    """Adjacent cursors differ by at most one, and adjacent vertices are
+    one generator apart by the closed-form metric, so the check does not
+    rest on the replay of vertices alone."""
+    c = w.cursors
+    assert {b - a for a, b in zip(c, c[1:])} <= {-1, 0, 1}
+    v = w.vertices
+    assert all(word_distance(g, h) == 1 for g, h in zip(v, v[1:]))
+
+
+@pytest.mark.parametrize("build,args", [
+    (half_quasi_line, (3000,)),
+    (quasi_line, (50, 2000)),
+    *((quasi_interval, (n,)) for n in range(1, 5)),
+    *((quasi_circle, (n,)) for n in range(1, 5)),
+], ids=lambda x: x.__name__ if callable(x) else "-".join(map(str, x)))
+def test_every_walk_moves_one_generator_at_a_time(build, args):
+    assert_is_walk(build(*args))
 
 
 def assert_cursor_format(w):
@@ -136,7 +151,7 @@ class TestHalfQuasiLine:
 
     def test_truncation_is_a_prefix(self):
         long, short = half_quasi_line(500), half_quasi_line(120)
-        assert long.steps[:120] == short.steps
+        assert long.cursors[:121] == short.cursors
         assert long.vertices[:121] == short.vertices
 
     def test_consecutive_counter_values(self):
@@ -274,10 +289,6 @@ class TestQuasiCircle:
         w = quasi_circle(n)
         tail = w.vertices[w.milestones["closing_start"]:]
         assert all(v.cursor >= 0 for v in tail)
-
-    def test_replay_reproduces_vertices(self):
-        w = quasi_circle(2)
-        assert replay(w.start, w.steps) == list(w.vertices)
 
 
 class TestProbes:
