@@ -9,7 +9,8 @@ place: generated walks, under content-addressed names (kind, n, steps),
 each written, hashed, checked and served in chunks of about 1 MiB at
 bounded memory; and, for separate, the graph of each identity ball
 (ball-R.graph: sorted keys, then toggle column), checked by digest,
-length and key order before a query at the same radius uses it.
+length, key order and toggle range (every toggle in -1..members-1)
+before a query at the same radius uses it.
 The ball-local layer (coarse, and with it numpy) is imported only by
 the commands that use it, so walk, dist and --help start without numpy.
 """

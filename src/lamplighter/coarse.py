@@ -38,7 +38,7 @@ from .group import (  # the caps and errors are re-exported from here
     sphere_sizes,
     word_distance,
 )
-from .walks import Walk, path_walk, quasi_line, stage_walk
+from .walks import Walk, intrinsic_step_count, path_walk, quasi_line, stage_walk
 
 _CUR_BITS = 7
 _CUR_MASK = np.uint64((1 << _CUR_BITS) - 1)
@@ -703,7 +703,6 @@ def separation_report(
     probe_a: Configuration,
     probe_b: Configuration,
     *,
-    member_cap: int = DEFAULT_MEMBER_CAP,
     prebuilt_ball: Ball | None = None,
 ) -> SeparationReport:
     """Remove the K-neighborhood of a path from a ball and place probes.
@@ -714,9 +713,7 @@ def separation_report(
     """
     if k_neighborhood < 0:
         raise ValueError("K must be nonnegative")
-    b = prebuilt_ball if prebuilt_ball is not None else ball(
-        IDENTITY, radius, member_cap=member_cap
-    )
+    b = prebuilt_ball if prebuilt_ball is not None else ball(IDENTITY, radius)
     if b.radius != radius or b.center != IDENTITY:
         raise ValueError("prebuilt ball does not match the requested radius")
     probe_positions = [b._position(p) for p in (probe_a, probe_b)]
@@ -831,17 +828,6 @@ def check_m_max(m_max: int) -> None:
         raise ValueError(f"m_max {m_max} is outside 0..{_MAX_RADIUS} (the ball's packing window)")
 
 
-def _profile_walk(spec: PathSpec, index_limit: int) -> tuple[Walk, int, str]:
-    """The walk to profile, how many of its vertices to join, and the
-    index metric."""
-    walk = path_walk(spec.kind, spec.n, index_limit)
-    if spec.kind == "C":
-        # circles are always profiled whole, without the repeated base:
-        # truncating a cycle breaks the cyclic gap metric
-        return walk, walk.step_count, "cyclic"
-    return walk, min(index_limit, walk.step_count) + 1, "linear"
-
-
 def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> DistortionProfile:
     """Distortion along a path: D(M) = max index gap at word distance
     <= M, for M = 0..m_max, exact over all vertex pairs.
@@ -852,14 +838,18 @@ def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> Distorti
     if index_limit < 2:
         raise ValueError("index_limit must be at least 2")
     check_m_max(m_max)
-    walk, n, mode = _profile_walk(spec, index_limit)
+    walk = path_walk(spec.kind, spec.n, index_limit)
+    cyclic = spec.kind == "C"
+    # circles are always profiled whole, without the repeated base:
+    # truncating a cycle breaks the cyclic gap metric
+    n = walk.step_count if cyclic else min(index_limit, walk.step_count) + 1
     return DistortionProfile(
         kind=spec.kind,
         n=spec.n,
         index_limit=index_limit,
         m_max=m_max,
-        metric_mode=mode,
-        entries=_join_profile(walk, n, mode == "cyclic", m_max),
+        metric_mode="cyclic" if cyclic else "linear",
+        entries=_join_profile(walk, n, cyclic, m_max),
     )
 
 
@@ -892,29 +882,17 @@ def circle_family_distortion(n_values: Iterable[int], m_max: int) -> CircleFamil
         raise ValueError("need at least one circle")
     if any(n < 1 or n > 6 for n in ns):
         raise ValueError("circle scales must be within 1..6")
-    check_m_max(m_max)
-    profiles = {}
-    for n in ns:
-        walk, length, _ = _profile_walk(PathSpec("C", n), 0)  # circles ignore the limit
-        profiles[n] = DistortionProfile(
-            kind="C",
-            n=n,
-            index_limit=length,
-            m_max=m_max,
-            metric_mode="cyclic",
-            entries=_join_profile(walk, length, True, m_max),
-        )
-    h = []
-    attaining = []
-    for m in range(m_max + 1):
-        values = [(profiles[n].entries[m], n) for n in ns]
-        top = max(v for v, _ in values)
-        h.append(top)
-        attaining.append(min(n for v, n in values if v == top))
+    profiles = {
+        n: distortion_profile(PathSpec("C", n), intrinsic_step_count("C", n), m_max)
+        for n in ns
+    }
+    h = tuple(map(max, zip(*(p.entries for p in profiles.values()))))
+    attaining = tuple(next(n for n in ns if profiles[n].entries[m] == top)
+                      for m, top in enumerate(h))
     return CircleFamilyDistortion(
         n_values=tuple(ns),
         m_max=m_max,
         profiles=profiles,
-        h=tuple(h),
-        attaining=tuple(attaining),
+        h=h,
+        attaining=attaining,
     )

@@ -68,17 +68,6 @@ def stage_cursors(n: int) -> Iterator[int]:
     yield from range(1 - k, 1)
 
 
-def stage_step_count(n: int) -> int:
-    """len(list(stage_cursors(n))) without generating the walk: one
-    toggle when k = trailing_ones(n) is 0, else 7k + 3 moves and toggles
-    plus two toggles (one copying, one clearing) for each set bit among
-    bits k+1..2k-1 of n."""
-    k = trailing_ones(n)
-    if k == 0:
-        return 1
-    return 7 * k + 3 + 2 * ((n >> (k + 1)) & ((1 << (k - 1)) - 1)).bit_count()
-
-
 @dataclass(frozen=True)
 class Walk:
     """A walk in the Cayley graph: start vertex plus the cursor at each
@@ -248,16 +237,26 @@ def path_walk(kind: str, n: int | None = None, steps: int | None = None) -> Walk
 
 
 def intrinsic_step_count(kind: str, n: int) -> int:
-    """path_walk(kind, n).step_count for kind I or C, without building
-    the walk: segments one and three each take the steps of the stages
-    of segment one, segment two 4n - 1, and the circle drops the first
-    step and closes in 4n."""
-    interval = 2 * sum(map(stage_step_count, range(_segment_one_stages(n)))) + 4 * n - 1
-    if kind == "I":
-        return interval
-    if kind == "C":
-        return interval + 4 * n - 1
-    raise ValueError(f"kind {kind!r} has no intrinsic length")
+    """path_walk(kind, n).step_count for kind I or C in O(n) operations,
+    without building the walk or visiting its stages.
+
+    Segment one runs stages 0..2**m - 3 with m = 2n + 1.  Half of them
+    are even and take one toggle.  For k = 1..m-1, 2**(m-k-1) of them
+    have k trailing ones and take 7k + 3 steps plus two toggles per set
+    bit among bits k+1..2k-1 (see stage_cursors); min(k - 1, m - 1 - k)
+    of those bits lie below bit m, and each is set in half the stages.
+    Segments one and three each take that many steps, segment two
+    4n - 1, and the circle drops the first step and closes in 4n.
+    """
+    if kind not in ("I", "C"):
+        raise ValueError(f"kind {kind!r} has no intrinsic length")
+    stages = _segment_one_stages(n)
+    m = 2 * n + 1
+    segment_one = stages // 2 + sum(
+        (7 * k + 3 + min(k - 1, m - 1 - k)) << (m - k - 1) for k in range(1, m)
+    )
+    interval = 2 * segment_one + 4 * n - 1
+    return interval if kind == "I" else interval + 4 * n - 1
 
 
 @dataclass(frozen=True)

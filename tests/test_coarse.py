@@ -40,7 +40,7 @@ from lamplighter import (
 from lamplighter import coarse
 from lamplighter.coarse import PathSpec
 from lamplighter.group import sphere_sizes
-from lamplighter.walks import path_walk, trailing_ones
+from lamplighter.walks import intrinsic_step_count, path_walk, trailing_ones
 
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
 
@@ -305,7 +305,9 @@ class TestPackedKernels:
         assert ".vertices" not in Path(coarse.__file__).read_text()
         # a walk is its start and its cursors: no module keeps a step view
         # of it (the Step enum, apply_step, generator, replay, Walk.steps)
-        # or Ball.distance, by name, import, definition or attribute
+        # or Ball.distance, by name, import, definition or attribute; the
+        # I/C length is one closed form (no per-stage stage_step_count)
+        # and every profile comes from distortion_profile (no _profile_walk)
         for path in Path(coarse.__file__).parent.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text())))
             defs = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -315,7 +317,9 @@ class TestPackedKernels:
             attrs = defs | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
             attrs |= {stmt.target.id for node in nodes if isinstance(node, ast.ClassDef)
                       for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
-            assert not (names | attrs) & {"Step", "apply_step", "generator", "replay"}, path.name
+            assert not (names | attrs) & {
+                "Step", "apply_step", "generator", "replay", "stage_step_count", "_profile_walk",
+            }, path.name
             assert not attrs & {"steps", "distance"}, path.name
 
     @pytest.mark.parametrize("kind,n", [
@@ -783,7 +787,7 @@ class TestDistortionProfile:
         def no_walk(*args):
             raise AssertionError("a walk was built before m_max was checked")
 
-        monkeypatch.setattr(coarse, "_profile_walk", no_walk)
+        monkeypatch.setattr(coarse, "path_walk", no_walk)
         with pytest.raises(ValueError, match="m_max"):
             distortion_profile(PathSpec("N"), 2000, m_max)
         with pytest.raises(ValueError, match="m_max"):
@@ -805,6 +809,13 @@ class TestCircleFamily:
         assert fam.h == (0, 13, 46, 117, 264)
         assert fam.attaining == (1, 1, 2, 3, 3)
         assert set(fam.profiles) == {1, 2, 3}
+
+    def test_each_profile_is_the_circles_distortion_profile(self):
+        fam = circle_family_distortion([1, 2, 3], 4)
+        for n in (1, 2, 3):
+            assert fam.profiles[n] == distortion_profile(
+                PathSpec("C", n), intrinsic_step_count("C", n), 4
+            )
 
     def test_envelope_dominates_each_member(self):
         fam = circle_family_distortion([1, 2], 3)

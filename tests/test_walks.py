@@ -17,11 +17,8 @@ from lamplighter import (
     trailing_ones,
     word_distance,
 )
-from lamplighter.walks import (
-    intrinsic_step_count,
-    path_walk,
-    stage_step_count,
-)
+from lamplighter import walks
+from lamplighter.walks import intrinsic_step_count, path_walk
 
 
 class TestStagePrimitives:
@@ -104,18 +101,27 @@ def assert_cursor_format(w):
 
 
 class TestClosedFormStepCounts:
-    def test_stage_step_count_matches_the_stage_walks(self):
+    def test_stage_walks_keep_the_cursor_format(self):
         for n in range(4096):
-            w = stage_walk(n)
-            assert_cursor_format(w)
-            assert stage_step_count(n) == w.step_count
+            assert_cursor_format(stage_walk(n))
 
     @pytest.mark.parametrize("kind", ["I", "C"])
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_intrinsic_step_count_matches_the_built_walks(self, kind, n):
         w = path_walk(kind, n)
         assert_cursor_format(w)
         assert intrinsic_step_count(kind, n) == w.step_count
+
+    def test_intrinsic_step_count_visits_no_stage(self, monkeypatch):
+        # every stage walk reads its trailing ones, so a count that never
+        # calls trailing_ones enumerates no stage, and n = 40 (about 4**40
+        # steps) answers at once
+        def no_stage(n):
+            raise AssertionError("a stage was visited")
+
+        monkeypatch.setattr(walks, "trailing_ones", no_stage)
+        interval = intrinsic_step_count("I", 40)
+        assert intrinsic_step_count("C", 40) == interval + 159
 
     def test_lines_keep_the_cursor_format(self):
         for w, steps in ((half_quasi_line(5000), 5000), (quasi_line(50, 3000), 2 * 50 + 3000)):
