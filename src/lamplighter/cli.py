@@ -42,6 +42,7 @@ from .group import (  # not coarse: it loads numpy, which walk, dist and --help 
     decode_config,
     encode_config,
     encode_vertices,
+    sphere_sizes,
     word_distance,
 )
 from .walks import Walk, intrinsic_step_count, path_walk, probes
@@ -397,7 +398,7 @@ def dist(from_text: str, to_text: str) -> None:
 @click.option("--member-cap", type=int, default=DEFAULT_MEMBER_CAP, show_default=True)
 def ball_cmd(radius: int, center: str, out: str, max_radius: int | None, member_cap: int) -> None:
     """Enumerate a metric ball: summary header plus one member per line."""
-    from .coarse import ball
+    from .coarse import ball, encode_members
     if radius < 0:
         raise click.UsageError("--radius must be nonnegative")
     _enforce_cap(radius, DEFAULT_RADIUS_CAP, max_radius, "radius", "--max-radius")
@@ -412,14 +413,9 @@ def ball_cmd(radius: int, center: str, out: str, max_radius: int | None, member_
         "center": json.loads(encode_config(center_cfg)),
         "radius": radius,
         "members": b.member_count,
-        "sphere_sizes": b.sphere_sizes(),
+        "sphere_sizes": list(sphere_sizes(radius)),  # left-invariant: as at e
     }
-    members = (
-        '{"d":%d,"cursor":%d,"lamps":[%s]}'
-        % (d, cfg.cursor, ",".join(map(str, cfg.sorted_lamps())))
-        for cfg, d in b.items()
-    )
-    _write_output(chain([_line(header)], _batches(members)), out)
+    _write_output(chain([_line(header)], _batches(encode_members(b))), out)
 
 
 @main.command()

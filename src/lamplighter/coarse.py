@@ -156,26 +156,6 @@ class Ball:
     def __contains__(self, g: Configuration) -> bool:
         return self._position(g) >= 0
 
-    def items(self) -> Iterator[tuple[Configuration, int]]:
-        """(member, distance) pairs in deterministic packed order."""
-        for key, d in zip(self._keys, self._dists):
-            yield self.unpack(int(key)), int(d)
-
-    def sphere_sizes(self) -> list[int]:
-        """Member counts per exact distance, index 0..radius."""
-        counts = np.bincount(self._dists, minlength=self.radius + 1)
-        return [int(c) for c in counts]
-
-    @cached_property
-    def _dists(self) -> np.ndarray:
-        """Each member's distance from the center (uint8), by the closed
-        form on its key, one chunk at a time; built on first use."""
-        keys = self._keys
-        return np.concatenate([
-            _packed_distance(keys[lo:lo + _SCAN_CHUNK], self.radius, 0, 0).astype(np.uint8)
-            for lo in range(0, len(keys), _SCAN_CHUNK)
-        ])
-
     @cached_property
     def toggles(self) -> np.ndarray:
         """Position of each member's toggle neighbour in the key table
@@ -261,6 +241,26 @@ def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER
         levels.append(fresh)
         prev, cur = cur, fresh
     return Ball(center, radius, np.sort(np.concatenate(levels)))
+
+
+def encode_members(b: Ball) -> Iterator[str]:
+    """The line of each member of b (distance, cursor, sorted lamps), in
+    key order, read off the keys _REPLAY_ROWS at a time: the counterpart
+    of group.encode_vertices.  Lamp bit p and the cursor field shift by
+    center.cursor - radius, as in Ball.unpack; keys sort by lamp mask
+    first, so each mask's lamp text is rendered once."""
+    shift = b.center.cursor - b.radius
+    mask, shown = None, ""
+    for lo in range(0, len(b.keys), _REPLAY_ROWS):
+        part = b.keys[lo:lo + _REPLAY_ROWS]
+        dists = _packed_distance(part, b.radius, 0, 0).tolist()
+        cursors = ((part & _CUR_MASK).astype(np.int64) + shift).tolist()
+        for key, d, cursor in zip((part >> np.uint64(_CUR_BITS)).tolist(), dists, cursors):
+            if key != mask:
+                mask = key
+                lit = {p + shift for p in range(key.bit_length()) if key >> p & 1}
+                shown = ",".join(map(str, sorted(b.center.lamps ^ lit)))
+            yield '{"d":%d,"cursor":%d,"lamps":[%s]}' % (d, cursor, shown)
 
 
 def _members(b: Ball, keys: np.ndarray) -> np.ndarray:
@@ -809,16 +809,18 @@ def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ..
         packed.append((mask, cursor - base - m_max + c_bits, cur))
     get = index.get
     best = [0] * (m_max + 1)
-    for key, d in zip(b._keys.tolist(), b._dists.tolist()):
-        g_cursor = (key & int(_CUR_MASK)) - m_max
-        if d == 0 or g_cursor < 0:
-            continue
-        g_mask = key >> _CUR_BITS
-        hits = map(get, [(m ^ (g_mask << s)) | (c + g_cursor) for m, s, c in packed])
-        gaps = [abs(i - j) for i, j in enumerate(hits) if j is not None]
-        if cyclic:
-            gaps = [min(gap, n - gap) for gap in gaps]
-        best[d] = max(best[d], max(gaps, default=0))
+    for lo in range(0, len(b.keys), _SCAN_CHUNK):
+        part = b.keys[lo:lo + _SCAN_CHUNK]
+        for key, d in zip(part.tolist(), _packed_distance(part, m_max, 0, 0).tolist()):
+            g_cursor = (key & int(_CUR_MASK)) - m_max
+            if d == 0 or g_cursor < 0:
+                continue
+            g_mask = key >> _CUR_BITS
+            hits = map(get, [(m ^ (g_mask << s)) | (c + g_cursor) for m, s, c in packed])
+            gaps = [abs(i - j) for i, j in enumerate(hits) if j is not None]
+            if cyclic:
+                gaps = [min(gap, n - gap) for gap in gaps]
+            best[d] = max(best[d], max(gaps, default=0))
     return tuple(accumulate(best, max))
 
 
@@ -835,18 +837,18 @@ def distortion_profile(spec: PathSpec, index_limit: int, m_max: int) -> Distorti
     Computed by joining the walk with its translates by B(e, m_max), so
     the cost grows as |B(e, m_max)| times the walk length.
     """
-    if index_limit < 2:
+    cyclic = spec.kind == "C"
+    if index_limit < 2 and not cyclic:
         raise ValueError("index_limit must be at least 2")
     check_m_max(m_max)
     walk = path_walk(spec.kind, spec.n, index_limit)
-    cyclic = spec.kind == "C"
     # circles are always profiled whole, without the repeated base:
     # truncating a cycle breaks the cyclic gap metric
     n = walk.step_count if cyclic else min(index_limit, walk.step_count) + 1
     return DistortionProfile(
         kind=spec.kind,
         n=spec.n,
-        index_limit=index_limit,
+        index_limit=walk.step_count if cyclic else index_limit,
         m_max=m_max,
         metric_mode="cyclic" if cyclic else "linear",
         entries=_join_profile(walk, n, cyclic, m_max),

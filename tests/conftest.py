@@ -1,5 +1,7 @@
 from hypothesis import HealthCheck, settings
 
+from lamplighter import word_distance
+
 # Property tests share one slow box with BFS-heavy checks; wall-clock
 # deadlines would make them flaky without catching anything real.
 settings.register_profile(
@@ -8,3 +10,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def oracle_members(b):
+    """(member, distance from the center) for each key of ball b, in key
+    order: the member from Ball.unpack, the distance from the
+    Configuration oracle word_distance, not from the closed form on the
+    keys."""
+    for key in b.keys.tolist():
+        g = b.unpack(key)
+        yield g, word_distance(b.center, g)

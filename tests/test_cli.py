@@ -23,6 +23,7 @@ from lamplighter import (
     ball,
     circle_family_distortion,
     cli,
+    decode_config,
     distance_to_path,
     distortion_profile,
     encode_config,
@@ -36,6 +37,8 @@ from lamplighter import (
 from lamplighter import coarse
 from lamplighter.cli import main
 from lamplighter.walks import path_walk
+
+from conftest import oracle_members
 
 WALK_N12 = """\
 {"kind":"N","n":null,"steps":12}
@@ -569,6 +572,22 @@ class TestDistCommand:
         assert "--from" in r.stderr
 
 
+def ball_output(center, radius):
+    """The bytes of `ball` by the Configuration route: a header whose
+    sphere sizes count the oracle distances, then one line per member of
+    the packed ball, in key order, formatted from its Configuration."""
+    members = list(oracle_members(coarse.ball(center, radius)))
+    sizes = [0] * (radius + 1)
+    for _, d in members:
+        sizes[d] += 1
+    header = json.dumps({"center": json.loads(encode_config(center)), "radius": radius,
+                         "members": len(members), "sphere_sizes": sizes},
+                        separators=(",", ":"))
+    lines = [json.dumps({"d": d, "cursor": g.cursor, "lamps": g.sorted_lamps()},
+                        separators=(",", ":")) for g, d in members]
+    return ("\n".join([header, *lines]) + "\n").encode()
+
+
 class TestBallCommand:
     def test_output_layout(self, runner, cache_env):
         r = run(runner, cache_env, "ball", "--radius", "2", "--out", "-")
@@ -588,14 +607,28 @@ class TestBallCommand:
         monkeypatch.setattr(cli, "_write_output", lambda chunks, out, entry=None: write(
             (sizes.append(len(chunk)) or chunk for chunk in chunks), out, entry))
         r = run(runner, cache_env, "ball", "--radius", "16", "--max-radius", "16", "--out", "-")
-        b = coarse.ball(coarse.IDENTITY, 16)
-        header = json.dumps({"center": {"cursor": 0, "lamps": []}, "radius": 16,
-                             "members": len(b), "sphere_sizes": b.sphere_sizes()},
-                            separators=(",", ":"))
-        members = [json.dumps({"d": d, "cursor": g.cursor, "lamps": g.sorted_lamps()},
-                              separators=(",", ":")) for g, d in b.items()]
-        assert r.stdout_bytes == ("\n".join([header, *members]) + "\n").encode()
+        assert r.stdout_bytes == ball_output(IDENTITY, 16)
         assert len(sizes) > 2 and max(sizes) < 2 * cli._CHUNK  # header, then batches
+
+    @pytest.mark.parametrize("center", ['{"cursor":0,"lamps":[]}', '{"cursor":3,"lamps":[-2,0,5]}'])
+    def test_members_match_the_configuration_route(self, runner, cache_env, center):
+        # the recentred ball has lamps on both sides of its cursor, so the
+        # key's lamp bits are shifted by the center's cursor and xored
+        # with the center's lamps
+        for radius in range(11):
+            r = run(runner, cache_env, "ball", "--radius", str(radius), "--max-radius", "10",
+                    "--center", center, "--out", "-")
+            assert r.stdout_bytes == ball_output(decode_config(center), radius), radius
+
+    def test_members_are_read_off_the_keys(self, runner, cache_env, monkeypatch):
+        want = ball_output(IDENTITY, 8)
+
+        def no_unpack(self, key):
+            raise AssertionError("a ball member was unpacked into a Configuration")
+
+        monkeypatch.setattr(coarse.Ball, "unpack", no_unpack)
+        r = run(runner, cache_env, "ball", "--radius", "8", "--out", "-")
+        assert r.stdout_bytes == want
 
     def test_center_option(self, runner, cache_env):
         r = run(runner, cache_env, "ball", "--radius", "1",
@@ -636,6 +669,12 @@ class TestProfileCommand:
     def test_family_csv(self, runner, cache_env):
         r = run(runner, cache_env, "profile", "--family", "1,2", "--m-max", "2", "--out", "-")
         assert r.output == "M,D,n_attaining\n0,0,1\n1,13,1\n2,46,2\n"
+
+    def test_circle_ignores_the_index_limit(self, runner, cache_env):
+        # a circle is profiled whole, so a limit below 2 is never applied
+        args = ("profile", "--kind", "C", "--n", "2", "--out", "-")
+        r = run(runner, cache_env, *args, "--index-limit", "1")
+        assert r.output == run(runner, cache_env, *args).output
 
     def test_index_cap_names_the_override(self, runner, cache_env):
         r = runner.invoke(main, ["profile", "--kind", "N", "--index-limit", "20000"], env=cache_env)

@@ -42,6 +42,8 @@ from lamplighter.coarse import PathSpec
 from lamplighter.group import sphere_sizes
 from lamplighter.walks import intrinsic_step_count, path_walk, trailing_ones
 
+from conftest import oracle_members
+
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
 
 
@@ -55,6 +57,17 @@ def all_pairs_profile(vertices, cyclic, m_max):
             gap = min(j - i, n - (j - i)) if cyclic else j - i
             best[d] = max(best[d], gap)
     return tuple(itertools.accumulate(best, max))
+
+
+def key_distances(b):
+    """Each member's distance from the center, by the closed form on its
+    key, in key order."""
+    return coarse._packed_distance(b.keys, b.radius, 0, 0)
+
+
+def key_sphere_sizes(b):
+    """Member counts per distance 0..radius, by the closed form on the keys."""
+    return np.bincount(key_distances(b), minlength=b.radius + 1).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -84,12 +97,15 @@ class TestBall:
 
     @pytest.mark.parametrize("radius", range(10))
     def test_agrees_with_reference_bfs(self, radius):
-        # members from the packed BFS, distances from the closed form on
-        # the keys, against the dict BFS and its levels
-        assert dict(ball(IDENTITY, radius).items()) == bfs_ball(IDENTITY, radius)
+        # members from the packed BFS, distances from the oracle and from
+        # the closed form on the keys, against the dict BFS and its levels
+        b = ball(IDENTITY, radius)
+        members = dict(oracle_members(b))
+        assert members == bfs_ball(IDENTITY, radius)
+        assert key_distances(b).tolist() == list(members.values())
 
     def test_sphere_sizes(self, ball6):
-        sizes = ball6.sphere_sizes()
+        sizes = key_sphere_sizes(ball6)
         assert list(sizes) == [1, 3, 6, 12, 22, 40, 71]
         assert sum(sizes) == BALL_SIZES[6]
 
@@ -99,13 +115,13 @@ class TestBall:
         assert Configuration([], 7) not in ball6
 
     def test_pack_unpack_round_trip(self, ball6):
-        for v, _ in ball6.items():
+        for v, _ in oracle_members(ball6):
             assert ball6.unpack(ball6.pack(v)) == v
 
     def test_centered_ball_is_translate(self):
         g = Configuration([2, -1], 1)
         b = ball(g, 3)
-        assert dict(b.items()) == {compose(g, v): d for v, d in bfs_ball(IDENTITY, 3).items()}
+        assert dict(oracle_members(b)) == {compose(g, v): d for v, d in bfs_ball(IDENTITY, 3).items()}
 
     def test_radius_window_guard(self):
         with pytest.raises(ValueError, match="packing window"):
@@ -117,7 +133,7 @@ class TestBall:
 
     @pytest.mark.parametrize("radius", [12, 20])
     def test_sphere_count_matches_bfs(self, radius):
-        assert list(sphere_sizes(radius)) == ball(IDENTITY, radius).sphere_sizes()
+        assert list(sphere_sizes(radius)) == key_sphere_sizes(ball(IDENTITY, radius))
 
     def test_member_cap_is_counted_before_any_level(self, monkeypatch):
         assert ball(IDENTITY, 8, member_cap=490).member_count == 490
@@ -132,17 +148,19 @@ class TestBall:
     def test_closed_form_matches_bfs_at_radius_20(self):
         b = ball(IDENTITY, 20)
         assert b.member_count == 229_735
-        assert [(g, d) for g, d in b.items() if word_distance(IDENTITY, g) != d] == []
+        dists = key_distances(b)
+        assert [(g, d) for (g, want), d in zip(oracle_members(b), dists.tolist()) if want != d] == []
         # the BFS fixes every member's level: the members the closed form
         # puts within r of e are exactly the members of the BFS ball of
-        # radius r, moved into the radius-20 window; each of those balls'
-        # own distance column counts the same levels
+        # radius r, moved into the radius-20 window; the closed form on
+        # each of those balls' own keys counts the same levels
         small = ball(IDENTITY, 6)
-        assert rewindow(small._keys, 6, 20).tolist() == [b.pack(g) for g, _ in small.items()]
+        assert rewindow(small._keys, 6, 20).tolist() == [b.pack(g) for g, _ in oracle_members(small)]
+        sizes = key_sphere_sizes(b)
         for r in range(21):
             inner = ball(IDENTITY, r)
-            assert np.array_equal(rewindow(inner._keys, r, 20), b._keys[b._dists <= r])
-            assert inner.sphere_sizes() == b.sphere_sizes()[: r + 1]
+            assert np.array_equal(rewindow(inner._keys, r, 20), b._keys[dists <= r])
+            assert key_sphere_sizes(inner) == sizes[: r + 1]
 
 
 def rewindow(keys, r, to):
@@ -307,7 +325,10 @@ class TestPackedKernels:
         # of it (the Step enum, apply_step, generator, replay, Walk.steps)
         # or Ball.distance, by name, import, definition or attribute; the
         # I/C length is one closed form (no per-stage stage_step_count)
-        # and every profile comes from distortion_profile (no _profile_walk)
+        # and every profile comes from distortion_profile (no _profile_walk).
+        # A ball is its keys: no cached distance column (_dists), and no
+        # Ball.items or Ball.sphere_sizes to rebuild members or levels from
+        # one (group.sphere_sizes is the closed-form count)
         for path in Path(coarse.__file__).parent.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text())))
             defs = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -319,8 +340,12 @@ class TestPackedKernels:
                       for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
             assert not (names | attrs) & {
                 "Step", "apply_step", "generator", "replay", "stage_step_count", "_profile_walk",
+                "_dists",
             }, path.name
             assert not attrs & {"steps", "distance"}, path.name
+            ball_defs = {stmt.name for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Ball"
+                         for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+            assert not ball_defs & {"items", "sphere_sizes"}, path.name
 
     @pytest.mark.parametrize("kind,n", [
         *itertools.product("IC", range(1, 7)), ("R", 5), ("R", 14),
@@ -508,8 +533,9 @@ class TestDistanceToPath:
         radius = 14
         b = ball(IDENTITY, radius)
         dist = coarse._ball_bfs_from(b, coarse._path_keys_in_ball(spec, b))
+        levels = key_distances(b)
         for d0 in range(radius + 1):
-            sphere = np.flatnonzero(b._dists == d0)
+            sphere = np.flatnonzero(levels == d0)
             for pos in sphere[:: max(1, len(sphere) // 5)].tolist():
                 cap = radius - d0
                 want = int(dist[pos]) if dist[pos] <= cap else EXCEEDS
@@ -524,7 +550,7 @@ def reference_components(b, removed):
     Canonical order sorts by the lamp pattern as a binary value, then the
     cursor; depth is the largest ball-graph distance to the removed set.
     """
-    members = {v for v, _ in b.items()}
+    members = {v for v, _ in oracle_members(b)}
     removed = set(removed)
     depth = dict.fromkeys(removed, 0)
     frontier = list(removed)
@@ -584,7 +610,7 @@ class TestComponents:
 
     def test_many_components_match_reference_labelling(self):
         b = ball(IDENTITY, 14)
-        odd = [v for v, d in b.items() if d % 2]
+        odd = [v for v, d in oracle_members(b) if d % 2]
         comps = components_after_removal(b, odd)
         assert len(comps) == 7_247
         assert [c.id for c in comps] == list(range(len(comps)))
@@ -609,7 +635,7 @@ class TestComponents:
 
     def test_removing_everything_leaves_nothing(self):
         b = ball(IDENTITY, 2)
-        assert components_after_removal(b, [v for v, _ in b.items()]) == []
+        assert components_after_removal(b, [v for v, _ in oracle_members(b)]) == []
 
     def test_ignores_vertices_outside_the_ball(self):
         b = ball(IDENTITY, 2)
@@ -671,17 +697,14 @@ class TestSeparationReport:
 
     @pytest.mark.parametrize("spec", [PathSpec("N"), PathSpec("R"), PathSpec("I", 2), PathSpec("C", 2)])
     def test_report_builds_no_distance_column(self, spec):
-        # the ball holds only its keys: membership, distances and the
-        # report's exactness test all go through the closed form
+        # the ball holds only its keys: membership and the report's
+        # exactness test go through the closed form on them
         b = ball(IDENTITY, 12)
         p = probes(spec.n or 2)
         pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
         rep = separation_report(spec, 0, 12, pa, pb, prebuilt_ball=b)
         assert rep.verdict == "separated-in-ball"
         assert pa in b
-        assert "_dists" not in b.__dict__
-        assert b.sphere_sizes() == list(sphere_sizes(12))
-        assert "_dists" in b.__dict__
 
     def test_probe_inside_obstacle_is_rejected(self):
         with pytest.raises(ProbeInsideObstacleError):
@@ -704,9 +727,10 @@ class TestSeparationReport:
         closed = swept = 0
         for radius in (12, 13, 14):
             b = ball(IDENTITY, radius)
+            slack = radius - key_distances(b)
             for k in (0, 1, 2):
                 removed, depth = coarse._neighborhood(b, coarse._path_keys_in_ball(spec, b), k)
-                gap = depth + k - (radius - b._dists.astype(np.int64))
+                gap = depth + k - slack
                 inner, edge, beyond = (
                     b.unpack(b._keys[np.flatnonzero(cls & ~removed)[-1]])
                     for cls in (gap <= 0, gap == 1, gap == 2)
@@ -774,9 +798,9 @@ class TestDistortionProfile:
     def test_circle_uses_intrinsic_length(self):
         a = distortion_profile(PathSpec("C", 2), 2000, 4)
         b = distortion_profile(PathSpec("C", 2), 5000, 4)
-        assert a.entries == b.entries
+        assert a == b
         assert a.metric_mode == "cyclic"
-        assert a.index_limit == 2000 and b.index_limit == 5000
+        assert a.index_limit == intrinsic_step_count("C", 2)
 
     def test_csv_layout(self):
         text = distortion_profile(PathSpec("N"), 2000, 4).csv_text()
