@@ -74,12 +74,16 @@ def _unique(values: np.ndarray) -> np.ndarray:
     keys; a sort plus an adjacent-difference mask gives the same array.
     """
     out = np.sort(values)
-    if len(out) < 2:
-        return out
-    keep = np.empty(len(out), dtype=bool)
-    keep[0] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
+    return out[_distinct(out)]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Mask of the first value of each run of equal values in a sorted
+    array."""
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return keep
 
 
 def _find(table: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -187,8 +191,8 @@ def _toggle_column(keys: np.ndarray) -> np.ndarray:
     keys with the lamp under the cursor off are looked up, and each hit
     fills both ends."""
     tog = np.full(len(keys), -1, dtype=np.int32)
-    for lo in range(0, len(keys), _SCAN_CHUNK):
-        part = keys[lo:lo + _SCAN_CHUNK]
+    for lo in range(0, len(keys), _REPLAY_ROWS):
+        part = keys[lo:lo + _REPLAY_ROWS]
         bit = np.uint64(1) << (np.uint64(_CUR_BITS) + (part & _CUR_MASK))
         dark = np.flatnonzero((part & bit) == 0)
         pos = _find(keys, part[dark] | bit[dark])
@@ -224,23 +228,38 @@ def ball(center: Configuration, radius: int, *, member_cap: int = DEFAULT_MEMBER
 
     Growth is exponential (ratio around 1.8 per unit radius); the
     closed-form count of the ball raises ResourceLimitError over the
-    member cap before any level is built.
+    member cap before any level is built.  The levels are written into
+    one array of that count and sorted in place; a BFS that finds a
+    different count raises RuntimeError.
     """
-    ball_member_count(radius, member_cap)
-    r = radius
-    origin = np.array([r], dtype=np.uint64)  # identity: empty lamps, cursor 0
-    levels = [origin]
-    prev, cur = np.array([], dtype=np.uint64), origin
+    members = ball_member_count(radius, member_cap)
+    keys = np.empty(members, dtype=np.uint64)
+    keys[0] = radius  # identity: empty lamps, cursor 0
+    prev, lo, end = keys[:0], 0, 1  # the last level is keys[lo:end]
     for _ in range(radius):
-        tog, rgt, lft = _neighbor_keys(cur)
-        cand = _unique(np.concatenate([tog, rgt, lft]))
-        # the Cayley graph is bipartite (every generator flips lamp count
-        # plus cursor mod 2), so new vertices can only collide with the
-        # previous level
-        fresh = cand[_find(prev, cand) < 0]
-        levels.append(fresh)
-        prev, cur = cur, fresh
-    return Ball(center, radius, np.sort(np.concatenate(levels)))
+        cur = keys[lo:end]
+        n = len(cur)
+        cand = np.empty(3 * n, dtype=np.uint64)
+        for i in range(0, n, _REPLAY_ROWS):
+            for j, nbr in enumerate(_neighbor_keys(cur[i:i + _REPLAY_ROWS])):
+                cand[j * n + i:j * n + i + len(nbr)] = nbr
+        cand.sort()
+        distinct = _distinct(cand)
+        for i in range(0, len(cand), _REPLAY_ROWS):
+            part = cand[i:i + _REPLAY_ROWS][distinct[i:i + _REPLAY_ROWS]]
+            # the Cayley graph is bipartite (every generator flips lamp
+            # count plus cursor mod 2), so new vertices can only collide
+            # with the previous level
+            fresh = part[_find(prev, part) < 0]
+            if end + len(fresh) > members:
+                raise RuntimeError(f"ball(radius={radius}) BFS passed the closed-form count {members}")
+            keys[end:end + len(fresh)] = fresh
+            end += len(fresh)
+        prev, lo = cur, lo + n
+    if end != members:
+        raise RuntimeError(f"ball(radius={radius}) BFS found {end} members, not {members}")
+    keys.sort()
+    return Ball(center, radius, keys)
 
 
 def encode_members(b: Ball) -> Iterator[str]:
@@ -545,8 +564,8 @@ def _flood(b: Ball, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]
     """Breadth-first levels through the ball's neighbour table.
 
     Yields the start positions, then each level's unseen neighbours, as
-    sorted positions in the key table, and marks every yielded position
-    in seen.
+    sorted int32 positions in the key table (start must be int32 too),
+    and marks every yielded position in seen.
     """
     tog, link = b._neighbors
     frontier = start
@@ -563,11 +582,15 @@ def _flood(b: Ball, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]
 
 
 def _ball_bfs_from(b: Ball, source_keys: np.ndarray) -> np.ndarray:
-    """Graph distances from a source set across the whole ball, -1 if
-    unreachable (cannot happen for nonempty sources: balls are connected)."""
-    dist = np.full(len(b._keys), -1, dtype=np.int32)
+    """Graph distances (int8) from a source set across the whole ball, -1
+    if unreachable (cannot happen for nonempty sources: balls are
+    connected).  Any two members are joined through the center by a path
+    of length at most 2 * radius <= 56 inside the ball, so int8 holds
+    every distance."""
+    dist = np.full(len(b._keys), -1, dtype=np.int8)
     seen = np.zeros(len(b._keys), dtype=bool)
-    for level, pos in enumerate(_flood(b, np.searchsorted(b._keys, source_keys), seen)):
+    start = np.searchsorted(b._keys, source_keys).astype(np.int32)
+    for level, pos in enumerate(_flood(b, start, seen)):
         dist[pos] = level
     return dist
 
@@ -576,50 +599,55 @@ def _neighborhood(
     b: Ball, source_keys: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Mask of the ball positions within k of the sources, and each
-    position's depth below that neighborhood (None without sources).
+    position's distance to the sources (int8, None without sources).
 
-    Depth is d(v, sources) - k: in a connected graph the distance to the
-    k-neighborhood of a set is the distance to the set minus k.
+    A kept position's depth below the neighborhood is its distance minus
+    k: in a connected graph the distance to the k-neighborhood of a set
+    is the distance to the set minus k.  Callers subtract k as Python
+    ints, so no k overflows the int8 distances.
     """
     if len(source_keys) == 0:
         return np.zeros(len(b._keys), dtype=bool), None
     dist = _ball_bfs_from(b, source_keys)
-    return (dist >= 0) & (dist <= k), dist - k
+    return (dist >= 0) & (dist <= k), dist
 
 
 def _decompose(
-    b: Ball, removed: np.ndarray, depth: np.ndarray | None
-) -> tuple[np.ndarray, list[Component]]:
-    """Component label of every ball position (-1 where removed) and the
-    components of the ball minus the removed positions.
+    b: Ball, removed: np.ndarray, dist: np.ndarray | None, k: int, probes: list[int]
+) -> tuple[list[int], list[Component]]:
+    """Component id of each probe position (all kept) and the components
+    of the ball minus the removed positions.
 
-    Each component is flooded from the smallest key not yet labelled, so
+    Each component is flooded from the smallest key not yet seen, so
     component 0 holds the smallest kept key, component 1 the next, and
     so on (canonical configuration order: lamp pattern as a binary
-    value, then cursor).  The seed scan walks the table once, in chunks;
-    each flood level is labelled as it comes.
+    value, then cursor).  The seed scan walks the table once,
+    _REPLAY_ROWS positions at a time.  A probe's id is that of the first
+    component whose flood marks its position seen.  A component's depth
+    is its largest distance to the sources minus k (dist and k as from
+    _neighborhood).
     """
     keys = b._keys
-    labels = np.full(len(keys), -1, dtype=np.int32)
     seen = removed.copy()
+    ids = [-1] * len(probes)
     comps: list[Component] = []
-    for lo in range(0, len(keys), _SCAN_CHUNK):
-        for start in (lo + np.flatnonzero(~seen[lo:lo + _SCAN_CHUNK])).tolist():
+    for lo in range(0, len(keys), _REPLAY_ROWS):
+        for start in (lo + np.flatnonzero(~seen[lo:lo + _REPLAY_ROWS])).tolist():
             if seen[start]:
                 continue
-            size, deepest = 0, 0  # kept positions sit at depth >= 1
-            for level in _flood(b, np.array([start]), seen):
-                labels[level] = len(comps)
+            size, deepest = 0, 0
+            for level in _flood(b, np.array([start], dtype=np.int32), seen):
                 size += len(level)
-                if depth is not None:
-                    deepest = max(deepest, int(depth[level].max()))
+                if dist is not None:
+                    deepest = max(deepest, int(dist[level].max()))
+            ids = [len(comps) if i < 0 and seen[pos] else i for i, pos in zip(ids, probes)]
             comps.append(Component(
                 id=len(comps),
                 size=size,
                 representative=b.unpack(keys[start]),
-                max_distance_to_obstacle=None if depth is None else deepest,
+                max_distance_to_obstacle=None if dist is None else deepest - k,
             ))
-    return labels, comps
+    return ids, comps
 
 
 def components_after_removal(b: Ball, removed: Iterable[Configuration]) -> list[Component]:
@@ -630,7 +658,7 @@ def components_after_removal(b: Ball, removed: Iterable[Configuration]) -> list[
     was removed.
     """
     keys = np.array([k for k in map(b.pack, removed) if k is not None], dtype=np.uint64)
-    return _decompose(b, *_neighborhood(b, _members(b, keys), 0))[1]
+    return _decompose(b, *_neighborhood(b, _members(b, keys), 0), 0, [])[1]
 
 
 @dataclass(frozen=True)
@@ -720,28 +748,28 @@ def separation_report(
     for p, pos in zip((probe_a, probe_b), probe_positions):
         if pos < 0:
             raise ProbeOutsideBallError(f"probe {p!r} is outside ball(e, {radius})")
-    removed, depth = _neighborhood(b, _path_keys_in_ball(spec, b), k_neighborhood)
+    removed, dist = _neighborhood(b, _path_keys_in_ball(spec, b), k_neighborhood)
     for p, pos in zip((probe_a, probe_b), probe_positions):
         if removed[pos]:
             raise ProbeInsideObstacleError(
                 f"probe {p!r} lies in the removed obstacle neighborhood"
             )
 
-    labels, comps = _decompose(b, removed, depth)
+    ids, comps = _decompose(b, removed, dist, k_neighborhood, probe_positions)
     placements = []
-    for p, pos in zip((probe_a, probe_b), probe_positions):
+    for p, pos, comp_id in zip((probe_a, probe_b), probe_positions, ids):
         dist_val = None
         if spec is not None:
             # the in-ball distance to the obstacle bounds d(p, path) from
             # above, and a path of length <= R - d(e, p) from p stays in
             # the ball, so d_ball <= R - d(e, p) + 1 is exact
-            d_ball = None if depth is None else int(depth[pos]) + k_neighborhood
+            d_ball = None if dist is None else int(dist[pos])
             if d_ball is not None and d_ball <= radius - word_distance(IDENTITY, p) + 1:
                 d = d_ball if d_ball <= radius else EXCEEDS
             else:
                 d = distance_to_path(p, spec, cap=radius)
             dist_val = None if d is EXCEEDS else int(d)
-        placements.append(ProbePlacement(p, int(labels[pos]), dist_val))
+        placements.append(ProbePlacement(p, comp_id, dist_val))
     verdict = (
         "separated-in-ball"
         if placements[0].component_id != placements[1].component_id

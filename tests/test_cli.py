@@ -743,6 +743,19 @@ class TestSeparateCommand:
                 "--max-radius", "14", "--probe-a", probe, "--out", "-")
         assert json.loads(r.output)["probes"][0]["distance_to_obstacle"] == want
 
+    @pytest.mark.parametrize("k", [126, 127, 128, 300])
+    def test_k_past_the_int8_range(self, runner, cache_env, k):
+        # obstacle distances are held in one byte: every K >= 2R removes
+        # the whole ball, so each answers as K = 2R + 1 does
+        def answer(width):
+            r = runner.invoke(main, ["separate", "--kind", "N", "--radius", "12",
+                                     "--k", str(width),
+                                     "--probe-a", '{"cursor":-6,"lamps":[]}',
+                                     "--probe-b", '{"cursor":0,"lamps":[-3]}'], env=cache_env)
+            return r.exit_code, r.stdout, r.stderr
+
+        assert answer(k) == answer(25)
+
 
 # probes in every ball of radius >= 9, at least 3 from N, R, I1 and C1
 FAR_PROBES = ("--probe-a", '{"cursor":-5,"lamps":[]}', "--probe-b", '{"cursor":6,"lamps":[]}')

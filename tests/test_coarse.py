@@ -4,6 +4,7 @@ import ast
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,15 @@ class TestBall:
         monkeypatch.setattr(coarse, "_neighbor_keys", no_level)
         with pytest.raises(ResourceLimitError, match=r"ball\(radius=8\) exceeds member cap 489"):
             ball(IDENTITY, 8, member_cap=489)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_bfs_count_is_checked_against_the_closed_form(self, delta, monkeypatch):
+        # the levels are written into an array of the closed-form count:
+        # a count one off either way raises instead of writing past it
+        count = coarse.ball_member_count
+        monkeypatch.setattr(coarse, "ball_member_count", lambda r, cap: count(r, cap) + delta)
+        with pytest.raises(RuntimeError, match=r"ball\(radius=10\) BFS"):
+            ball(IDENTITY, 10)
 
     def test_closed_form_matches_bfs_at_radius_20(self):
         b = ball(IDENTITY, 20)
@@ -729,8 +739,8 @@ class TestSeparationReport:
             b = ball(IDENTITY, radius)
             slack = radius - key_distances(b)
             for k in (0, 1, 2):
-                removed, depth = coarse._neighborhood(b, coarse._path_keys_in_ball(spec, b), k)
-                gap = depth + k - slack
+                removed, dist = coarse._neighborhood(b, coarse._path_keys_in_ball(spec, b), k)
+                gap = dist - slack
                 inner, edge, beyond = (
                     b.unpack(b._keys[np.flatnonzero(cls & ~removed)[-1]])
                     for cls in (gap <= 0, gap == 1, gap == 2)
@@ -745,6 +755,16 @@ class TestSeparationReport:
                         want = sweep(probe.config, spec, cap=radius)
                         assert probe.distance_to_obstacle == (None if want is EXCEEDS else want)
         assert (closed, swept) == (27, 9)
+
+    def test_neighborhood_past_the_diameter_removes_every_member(self):
+        # distances inside the ball are at most 2R and held as int8; k is
+        # only compared with them, so k past the int8 range removes all
+        b = ball(IDENTITY, 12)
+        line = coarse._path_keys_in_ball(PathSpec("N"), b)
+        dist = coarse._neighborhood(b, line, 0)[1]
+        assert dist.dtype == np.int8 and 0 <= dist.min() and dist.max() <= 24
+        for k in (24, 25, 126, 127, 128, 300):
+            assert coarse._neighborhood(b, line, k)[0].all(), k
 
     def test_report_is_json_serializable(self):
         p = probes(1)
@@ -855,3 +875,32 @@ class TestCircleFamily:
             circle_family_distortion([7], 3)
         with pytest.raises(ValueError):
             circle_family_distortion([], 3)
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc counts while call runs, above its start.
+
+    numpy reports every data buffer it requests to tracemalloc, so the
+    peak does not depend on what the heap held before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The ball layer's scratch memory per ball member, at R = 20."""
+
+    def test_ball_build(self):
+        members = coarse.ball_member_count(20)
+        assert traced_peak(lambda: ball(IDENTITY, 20)) <= 26 * members
+
+    def test_separation_report_on_a_prebuilt_ball(self):
+        b = ball(IDENTITY, 20)
+        p = probes(2)
+        peak = traced_peak(lambda: separation_report(PathSpec("N"), 0, 20, p.a_n, p.b_n,
+                                                     prebuilt_ball=b))
+        assert peak <= 16 * len(b)
