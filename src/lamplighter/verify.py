@@ -48,13 +48,13 @@ from .group import (
     bfs_ball,
     compose,
     decode_config,
-    dyadic_views,
     encode_config,
     invert,
     word_distance,
 )
 from .walks import (
     half_quasi_line,
+    keyed_vertices,
     probes,
     quasi_circle,
     quasi_interval,
@@ -116,11 +116,10 @@ def _check_group_laws() -> tuple[bool, str]:
 
 def _check_line_well_formed() -> tuple[bool, str]:
     walk = half_quasi_line(100_000)
-    distinct = len(set(walk.vertices)) == len(walk.vertices)
     ms = walk.milestones
     last_index = -1
     ordered = True
-    matched = 0
+    stages = {}  # vertex index -> the stages whose milestone it is
     for n in range(4097):
         label = f"c{n}"
         if label not in ms:
@@ -128,12 +127,21 @@ def _check_line_well_formed() -> tuple[bool, str]:
         idx = ms[label]
         ordered = ordered and idx > last_index
         last_index = idx
-        v = walk.vertices[idx]
-        if v == stage_config(n) and dyadic_views(v) == (n, 0):
-            matched += 1
+        stages.setdefault(idx, []).append(n)
+    # one pass over the replay: exact keys for distinctness, and each
+    # milestone vertex against its stage as the stream passes it
+    seen = set()
+    count = matched = 0
+    for idx, (v, key) in enumerate(keyed_vertices(walk.iter_vertices())):
+        seen.add(key)
+        count += 1
+        for n in stages.get(idx, ()):
+            if v == stage_config(n) and key[0] == (n, 0):  # key[0] is dyadic_views(v)
+                matched += 1
+    distinct = len(seen) == count
     ok = distinct and ordered and matched == 4097
     return ok, (
-        f"{len(walk.vertices)} vertices distinct={distinct}, "
+        f"{count} vertices distinct={distinct}, "
         f"milestones c0..c4096 in order, {matched}/4097 equal stage configs"
     )
 
@@ -236,8 +244,9 @@ def _check_intervals_circles() -> tuple[bool, str]:
             [dx, dy] == [d if d <= 5 * n + 4 else EXCEEDS for d in brute]
             and dx is not EXCEEDS and dy is not EXCEEDS and dx >= n and dy >= n
         )
-        rep_i = separation_report(PathSpec("I", n), 0, 5 * n + 4, ps.x_n, ps.y_n)
-        rep_c = separation_report(PathSpec("C", n), 0, 5 * n + 4, ps.x_n, ps.y_n)
+        b = ball(IDENTITY, 5 * n + 4)
+        rep_i = separation_report(PathSpec("I", n), 0, 5 * n + 4, ps.x_n, ps.y_n, prebuilt_ball=b)
+        rep_c = separation_report(PathSpec("C", n), 0, 5 * n + 4, ps.x_n, ps.y_n, prebuilt_ball=b)
         sep_ok = (
             rep_i.verdict == "separated-in-ball"
             and rep_c.verdict == "separated-in-ball"

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .group import IDENTITY, Configuration
+from .group import IDENTITY, Configuration, dyadic_views
 
 
 def trailing_ones(n: int) -> int:
@@ -68,6 +68,25 @@ def stage_cursors(n: int) -> Iterator[int]:
     yield from range(1 - k, 1)
 
 
+def keyed_vertices(
+    vertices: Iterable[Configuration],
+) -> Iterator[tuple[Configuration, tuple[tuple[int, int], int]]]:
+    """Each vertex with its key (dyadic_views(v), v.cursor), which is
+    exact: dyadic_views maps finite lamp sets one-to-one onto pairs of
+    naturals.
+
+    The views are computed once per lamp-set object: Walk.iter_vertices
+    hands one frozenset to every vertex of a run of moves, so a walk's
+    keys share their views tuples and cost about one int pair per
+    toggle.
+    """
+    lamps = views = None
+    for v in vertices:
+        if v.lamps is not lamps:
+            lamps, views = v.lamps, dyadic_views(v)
+        yield v, (views, v.cursor)
+
+
 @dataclass(frozen=True)
 class Walk:
     """A walk in the Cayley graph: start vertex plus the cursor at each
@@ -75,10 +94,11 @@ class Walk:
 
     cursors[0] == start.cursor, and step i toggles the lamp under the
     cursor exactly when cursors[i + 1] == cursors[i], else it moves the
-    cursor by one.  vertices replays the cursors from start on first
-    access, one Configuration per vertex; code that only needs the lamps
-    and cursors reads start and cursors instead.  milestones maps labels
-    to vertex indices.
+    cursor by one.  iter_vertices replays the cursors from start, one
+    Configuration per vertex, holding only the current one; vertices
+    keeps that replay as a tuple on first access.  Code that only needs
+    the lamps and cursors reads start and cursors instead.  milestones
+    maps labels to vertex indices.
     """
 
     start: Configuration
@@ -88,16 +108,17 @@ class Walk:
     n: int | None = None
     closed: bool = False
 
-    @cached_property
-    def vertices(self) -> tuple[Configuration, ...]:
+    def iter_vertices(self) -> Iterator[Configuration]:
         lamps, prev = self.start.lamps, None
-        vertices = []
         for c in self.cursors:
             if c == prev:
                 lamps = lamps ^ {c}
-            vertices.append(Configuration(lamps, c))
+            yield Configuration(lamps, c)
             prev = c
-        return tuple(vertices)
+
+    @cached_property
+    def vertices(self) -> tuple[Configuration, ...]:
+        return tuple(self.iter_vertices())
 
     @property
     def end(self) -> Configuration:
@@ -108,13 +129,17 @@ class Walk:
         return len(self.cursors) - 1
 
     def is_simple(self) -> bool:
-        """No repeated vertex; a closed walk may repeat only its endpoint."""
-        if self.closed:
-            if self.vertices[0] != self.vertices[-1]:
-                return False
-            interior = self.vertices[:-1]
-            return len(set(interior)) == len(interior)
-        return len(set(self.vertices)) == len(self.vertices)
+        """No repeated vertex; a closed walk must end at its first vertex
+        and repeat no other.  Streams iter_vertices and compares exact
+        keys (see keyed_vertices), so it builds no vertex tuple."""
+        keys = (key for _, key in keyed_vertices(self.iter_vertices()))
+        first = next(keys)
+        seen = {first}
+        for key in keys:
+            if key in seen:
+                return self.closed and key == first and next(keys, None) is None
+            seen.add(key)
+        return not self.closed or len(seen) == 1
 
 
 def stage_walk(n: int) -> Walk:

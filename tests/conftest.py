@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import HealthCheck, settings
 
 from lamplighter import word_distance
@@ -20,3 +22,17 @@ def oracle_members(b):
     for key in b.keys.tolist():
         g = b.unpack(key)
         yield g, word_distance(b.center, g)
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc counts while call runs, above its start.
+
+    numpy reports every data buffer it requests to tracemalloc, so the
+    peak does not depend on what the heap held before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

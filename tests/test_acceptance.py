@@ -11,6 +11,9 @@ import pytest
 
 from lamplighter import coarse, verify
 from lamplighter.verify import check_ids, run_checks
+from lamplighter.walks import Walk, half_quasi_line
+
+from conftest import traced_peak
 
 FROZEN_DETAILS = {
     "1-metric-oracle": "B(e,8): 490 members, 0 mismatches",
@@ -80,3 +83,51 @@ def test_stage_depth_check_catches_a_missing_line_stage(monkeypatch):
     passed, detail = verify._check_stage_depth()
     assert not passed
     assert detail == "stage 6: min distance 6 but not in _line_stages(6)"
+
+
+def test_line_check_streams_the_replay():
+    """Check 3 holds one key per vertex, not the 100,001 Configurations
+    and a set of them (438 bytes per vertex under tracemalloc)."""
+    assert traced_peak(verify._check_line_well_formed) <= 200 * 100_001
+
+
+@pytest.mark.parametrize("check_id", ["3-line-well-formed", "7-quasi-line"])
+def test_checks_build_no_vertex_tuple(monkeypatch, check_id):
+    """Checks 3 and 7 stream their walks' vertices (Walk.iter_vertices)."""
+    def no_vertices(self):
+        raise AssertionError("Walk.vertices was built")
+
+    monkeypatch.setattr(Walk, "vertices", property(no_vertices))
+    [check] = [fn for cid, _, fn in verify._CHECKS if cid == check_id]
+    assert check() == (True, FROZEN_DETAILS[check_id])
+
+
+def test_line_check_catches_a_repeated_vertex(monkeypatch):
+    """Two toggles appended under the last cursor bring the walk back to
+    a vertex it has visited, and check 3 reports it."""
+    real = half_quasi_line(100_000)
+    c = real.cursors[-1]
+    looped = Walk(real.start, [*real.cursors, c, c], real.milestones, kind="N")
+    assert len(set(looped.vertices)) == len(looped.vertices) - 1
+    monkeypatch.setattr(verify, "half_quasi_line", lambda num_steps: looped)
+    passed, detail = verify._check_line_well_formed()
+    assert not passed
+    assert detail == (
+        "100003 vertices distinct=False, milestones c0..c4096 in order,"
+        " 4097/4097 equal stage configs"
+    )
+
+
+def test_interval_check_builds_one_ball_per_scale(monkeypatch):
+    """Check 8's interval and circle reports at scale n share ball(e, 5n + 4)."""
+    radii = []
+
+    def counted(center, radius, *args, **kwargs):
+        radii.append(radius)
+        return real(center, radius, *args, **kwargs)
+
+    real = coarse.ball
+    monkeypatch.setattr(coarse, "ball", counted)
+    monkeypatch.setattr(verify, "ball", counted)
+    assert verify._check_intervals_circles() == (True, FROZEN_DETAILS["8-intervals-circles"])
+    assert radii == [9, 14, 19]

@@ -4,7 +4,6 @@ import ast
 import itertools
 import json
 import random
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from lamplighter.coarse import PathSpec
 from lamplighter.group import sphere_sizes
 from lamplighter.walks import intrinsic_step_count, path_walk, trailing_ones
 
-from conftest import oracle_members
+from conftest import oracle_members, traced_peak
 
 BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
 
@@ -875,20 +874,6 @@ class TestCircleFamily:
             circle_family_distortion([7], 3)
         with pytest.raises(ValueError):
             circle_family_distortion([], 3)
-
-
-def traced_peak(call):
-    """Peak bytes tracemalloc counts while call runs, above its start.
-
-    numpy reports every data buffer it requests to tracemalloc, so the
-    peak does not depend on what the heap held before."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 class TestWorkingSet:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lamplighter import (
     IDENTITY,
     Configuration,
+    dyadic_views,
     half_quasi_line,
     probes,
     quasi_circle,
@@ -18,7 +19,7 @@ from lamplighter import (
     word_distance,
 )
 from lamplighter import walks
-from lamplighter.walks import intrinsic_step_count, path_walk
+from lamplighter.walks import Walk, intrinsic_step_count, keyed_vertices, path_walk
 
 
 class TestStagePrimitives:
@@ -295,6 +296,71 @@ class TestQuasiCircle:
         w = quasi_circle(n)
         tail = w.vertices[w.milestones["closing_start"]:]
         assert all(v.cursor >= 0 for v in tail)
+
+
+def tuple_simple(w):
+    """Simplicity read off the vertex tuple, by Configuration equality."""
+    v = w.vertices
+    if w.closed:
+        return v[0] == v[-1] and len(set(v[:-1])) == len(v) - 1
+    return len(set(v)) == len(v)
+
+
+class TestSimplicity:
+    """Walk.is_simple streams exact keys (dyadic views, cursor)."""
+
+    def test_open_walk_that_revisits_a_vertex(self):
+        assert not Walk(IDENTITY, [0, 1, 0]).is_simple()
+        assert not Walk(IDENTITY, [0, 0, 0]).is_simple()  # a lamp on and off again
+
+    def test_closed_walk_that_repeats_an_interior_vertex(self):
+        assert not Walk(IDENTITY, [0, 1, 2, 1, 0], closed=True).is_simple()
+        # the base itself, passed through halfway round
+        assert not Walk(IDENTITY, [0, 1, 0, -1, 0], closed=True).is_simple()
+
+    def test_closed_walk_whose_ends_differ(self):
+        w = Walk(IDENTITY, [0, 1, 2], closed=True)
+        assert not w.is_simple()
+        assert Walk(IDENTITY, [0, 1, 2]).is_simple()
+
+    def test_closed_square_is_simple(self):
+        w = Walk(IDENTITY, [0, 0, 1, 1, 0, 0, 1, 1, 0], closed=True)
+        assert w.end == w.start
+        assert w.is_simple()
+
+    def test_lamps_either_side_of_zero_are_distinct(self):
+        # {-1} and {0} have dyadic views (0, 1) and (1, 0)
+        [(_, a), (_, b)] = keyed_vertices([Configuration([-1], 0), Configuration([0], 0)])
+        assert a != b
+        w = Walk(Configuration([-1], 0), [0, -1, -1, 0, 0])
+        assert w.vertices[0] == Configuration([-1], 0)
+        assert w.end == Configuration([0], 0)
+        assert w.is_simple()
+
+    def test_keys_share_views_along_a_run_of_moves(self):
+        w = half_quasi_line(1000)
+        keys = [key for _, key in keyed_vertices(w.iter_vertices())]
+        assert keys == [(dyadic_views(v), v.cursor) for v in w.vertices]
+        views = {id(k[0]) for k in keys}
+        toggles = sum(a == b for a, b in zip(w.cursors, w.cursors[1:]))
+        assert len(views) == toggles + 1
+
+    def test_builds_no_vertex_tuple(self, monkeypatch):
+        def no_vertices(self):
+            raise AssertionError("Walk.vertices was built")
+
+        monkeypatch.setattr(Walk, "vertices", property(no_vertices))
+        assert quasi_circle(2).is_simple()
+        assert quasi_line(40, 400).is_simple()
+
+    @given(st.lists(st.integers(-3, 3), max_size=4), st.integers(-2, 2),
+           st.lists(st.sampled_from([-1, 0, 1]), max_size=24), st.booleans())
+    def test_matches_the_vertex_tuple(self, lamps, cursor, moves, closed):
+        cursors = [cursor]
+        for m in moves:
+            cursors.append(cursors[-1] + m)
+        w = Walk(Configuration(lamps, cursor), cursors, closed=closed)
+        assert w.is_simple() == tuple_simple(w)
 
 
 class TestProbes:
