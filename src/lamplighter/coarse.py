@@ -7,7 +7,11 @@ walks; removing an obstacle neighborhood and decomposing what is left
 gives ball-local separation verdicts.  Every finite walk (interval,
 circle, the quasi-line's negative ray, a probe's seed stage) is read as
 lamp words replayed from its start and cursors, never as one
-Configuration per vertex; the profile join reads the same words.
+Configuration per vertex.  The profile join packs the same lamps in
+numpy, one row of uint64 words per vertex, and keys each vertex by the
+lamps in a window anchored near its cursor beside an exact rank of the
+lamps outside it, so every translate by a ball member is one
+searchsorted in the sorted keys.
 Enumeration of the infinite paths is truncated by provable per-stage
 lower bounds: lamps above the trailing block never change during a
 stage, so any stage whose persistent high bits already cost more than
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -809,46 +813,204 @@ class DistortionProfile:
         return "\n".join(lines) + "\n"
 
 
+# rows per step of the profile join's column and probe loops; at 1 << 14
+# the C5 join of verify check 9 ends 0.5 MB closer to check 3's peak
+_PAIR_CHUNK = 1 << 13
+
+
+def _lamp_columns(cursors: np.ndarray, low: int, words: int) -> Iterator[np.ndarray]:
+    """Word j = 0..words - 1 of the lamps of each vertex of the walk with
+    these cursors from no lamp lit, lamp p at bit (p + low) % 64 of word
+    (p + low) // 64 (low must keep every cursor at a bit >= 0), one uint64
+    column at a time.  A toggle sits wherever the cursor repeats: the
+    toggles' bits that fall in word j are xor-accumulated down the
+    column."""
+    at = np.flatnonzero(cursors[1:] == cursors[:-1]) + 1
+    lamp = cursors[at] + low
+    for j in range(words):
+        col = np.zeros(len(cursors), dtype=np.uint64)
+        here = lamp >> 6 == j
+        col[at[here]] = np.uint64(1) << (lamp[here] & 63).astype(np.uint64)
+        np.bitwise_xor.accumulate(col, out=col)
+        yield col
+
+
+def _split_columns(columns: Iterable[np.ndarray], word: np.ndarray, bit: np.ndarray,
+                   mask: np.ndarray, windows: np.ndarray) -> Iterator[np.ndarray]:
+    """Each of the word columns j = 0, 1, ... of the vertices' lamps,
+    repeated once per window, with the window's bits cleared.  Window i
+    covers bits bit[i] .. bit[i] + w - 1 of word word[i] and on into the
+    next word, of vertex i % len(column) (mask = 2**w - 1, w < 64);
+    windows[i] collects its bits as the columns pass."""
+    one, top = np.uint64(1), np.uint64(63)
+    for j, col in enumerate(columns):
+        if len(word) > len(col):
+            col = np.tile(col, len(word) // len(col))
+        for lo in range(0, len(col), _PAIR_CHUNK):
+            part, w, b = (x[lo:lo + _PAIR_CHUNK] for x in (col, word, bit))
+            low = np.where(w == j, mask << b, 0)  # the window's bits in this word
+            high = np.where(w == j - 1, (mask >> one) >> (top - b), 0)  # in the next
+            windows[lo:lo + _PAIR_CHUNK] |= ((part & low) >> b) | (((part & high) << one) << (top - b))
+            part &= ~(low | high)
+        yield col
+
+
+def _rank_rows(columns: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Ids of the rows of a table given as uint64 columns, which are
+    overwritten, one column at a time: the first n rows get dense ids,
+    equal exactly for equal rows, and every later row the id of the
+    equal row among them, -1 where there is none.
+
+    The columns are folded left to right: each column is ranked among the
+    distinct values of its first n entries, then each (id so far, column
+    rank) pair, packed in one word, among the distinct pairs of the first
+    n rows, each by a sort and searchsorted.  A rank is below n, so a row
+    without a match packs to a pair above every pair of the first n rows
+    and stays at -1.
+    """
+    def rank(values):  # in place
+        distinct = _unique(values[:n])
+        for lo in range(0, len(values), _PAIR_CHUNK):
+            part = values[lo:lo + _PAIR_CHUNK]
+            part[:] = _find(distinct, part).view(np.uint64)
+        return values
+
+    half = np.uint64(32)
+    ids = None
+    for col in columns:
+        col = rank(col)
+        if ids is not None:
+            ids <<= half
+            ids |= col
+            col = rank(ids)
+        ids = col
+    return ids.view(np.int64)
+
+
+def _join_block(m_max: int, n: int, whole: int) -> int:
+    """Anchor block of the profile join's keys: whole, one block that
+    holds every vertex and translate, whose window then holds every lamp,
+    so that every outside id is 0, when that key fits 64 bits; else the
+    widest block whose key (outside id below n, cursor offset and lamp
+    window) fits."""
+    def fits(block, id_bits):
+        return id_bits + (block - 1).bit_length() + block + m_max + m_max // 2 <= 64
+
+    if fits(whole, 0):
+        return whole
+    id_bits = (n - 1).bit_length()
+    for block in range(min(whole, 64), 0, -1):
+        if fits(block, id_bits):
+            return block
+    raise ResourceLimitError(f"a profile join key of {n} vertices at M={m_max} needs more than 64 bits")
+
+
 def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ...]:
     """Exact D(0..m_max) over all pairs of the first n vertices of a
     simple walk.
 
     d(v_i, v_j) = |v_i^-1 v_j|, so the pairs at distance d are those with
-    v_j = v_i g for g in the sphere S(e, d).  Each vertex is packed once
-    into an int key (its _lamp_words above a cursor field, with m_max
-    spare positions below the lowest lamp and above the highest cursor,
-    so every translate by the ball packs too), and the translate of every
-    vertex by every ball member is looked up in the key index.  Members
-    with cursor < 0 are skipped: g^-1 finds the pairs of g with the ends
-    swapped, and a member with cursor 0 is its own inverse.
+    v_j = v_i g for g in the sphere S(e, d).  Members with cursor < 0 are
+    skipped: g^-1 finds the pairs of g with the ends swapped, and a
+    member with cursor 0 is its own inverse.  The distances do not change
+    when every vertex is multiplied by one element on the left, so the
+    walk is read from its first cursor with no lamp lit: every lamp then
+    lies at a cursor.
+
+    Keys.  Cursor offsets c (from the lowest cursor) lie on a grid of
+    anchors A = block * a, and a vertex belongs to anchor a = c // block.
+    Its key packs, from the top: an exact id of its anchor and its lamps
+    outside the anchor's window [A - m_max, A + block - 1 + m_max // 2],
+    then c - A, then the lamps inside the window.  The id is the dense
+    rank of the lamp rows with the window cleared (_rank_rows), so one key
+    scheme serves every walk, however far its lamps spread.  When one
+    block holds the whole walk, its window holds every lamp, every id is
+    0 and the key is the walk's lamp word (_join_block picks the block).
+    The lamps come from the cursors in numpy (_lamp_columns).  The keys
+    are sorted, and each vertex is placed in the sorted table by
+    searchsorted.
+
+    Translates.  A member g with d(g) <= M and cursor c_g >= 0 has its
+    lamps in a hull [lo, hi] around 0 and c_g with 2 (hi - lo) - c_g <= M,
+    so v_i g changes only lamps in [t - M, t + M // 2] around its cursor t
+    = c_i + c_g, all inside the window of t's anchor A'.  Its key is then
+    v_i's outside id and window at A' (ranked once per vertex and anchor,
+    for the anchors up to A(c_i + M)), t - A', and the window xor g's lamp
+    mask shifted by c_i - A'.  The translates of a chunk of vertices, in
+    key order so that a member's probes come nearly sorted, by a chunk of
+    members are looked up with one searchsorted.
     """
     b = ball(IDENTITY, m_max)
-    cursors = walk.cursors[:n]
-    c_min = min(cursors)
-    c_bits = (max(cursors) + m_max - c_min).bit_length()
-    base = min([c_min, *walk.start.lamps]) - m_max
-    packed = []
-    index = {}
-    for i, (mask, cursor) in enumerate(_lamp_words(walk.start, cursors, c_bits - base)):
-        cur = cursor - c_min
-        index[mask | cur] = i
-        # g's lamp q, held at bit q + m_max of its ball key, lands on
-        # lamp q + cursor of the translate
-        packed.append((mask, cursor - base - m_max + c_bits, cur))
-    get = index.get
-    best = [0] * (m_max + 1)
+    g_cur = np.empty(len(b.keys), dtype=np.int8)
+    g_dist = np.empty(len(b.keys), dtype=np.int8)
     for lo in range(0, len(b.keys), _SCAN_CHUNK):
         part = b.keys[lo:lo + _SCAN_CHUNK]
-        for key, d in zip(part.tolist(), _packed_distance(part, m_max, 0, 0).tolist()):
-            g_cursor = (key & int(_CUR_MASK)) - m_max
-            if d == 0 or g_cursor < 0:
+        g_cur[lo:lo + len(part)] = (part & _CUR_MASK).astype(np.int64) - m_max
+        g_dist[lo:lo + len(part)] = _packed_distance(part, m_max, 0, 0)
+
+    offsets = np.array(walk.cursors[:n], dtype=np.int32)
+    offsets -= offsets.min()
+    span = int(offsets.max()) + m_max + 1  # every vertex and translate cursor lies in 0..span - 1
+    block = _join_block(m_max, n, span)
+    width = block + m_max + m_max // 2
+    anchor = offsets // block
+    reach = int(((offsets + m_max) // block - anchor).max())
+    mask = np.uint64((1 << width) - 1)
+
+    # window k * n + i: v_i's window at its own anchor (k = 0, the table)
+    # or at the k-th anchor past it, which its translates reach for k <=
+    # reach.  Lamp offset p sits at bit p + m_max, so the window of anchor
+    # a starts at bit block * a, which also stands for the anchor in the
+    # outside rows.
+    first = np.concatenate([block * (anchor + k) for k in range(reach + 1)]).astype(np.uint64)
+    words = int(first.max()) // 64 + 2  # each window and lamp ends by the word after the top first bit
+    windows = np.zeros(len(first), dtype=np.uint64)
+    columns = _split_columns(_lamp_columns(offsets, m_max, words),
+                             (first >> np.uint64(6)).astype(np.int32),
+                             (first & np.uint64(63)).astype(np.uint8), mask, windows)
+    ids = _rank_rows(chain([first], columns), n).astype(np.int32).reshape(reach + 1, n)
+    windows = windows.reshape(reach + 1, n)
+    del first, columns
+
+    id_shift = np.uint64(width + (block - 1).bit_length())
+    keys = ids[0].astype(np.uint64)
+    keys <<= id_shift
+    keys |= (offsets - block * anchor).astype(np.uint64) << np.uint64(width)
+    keys |= windows[0]
+    table = np.sort(keys)
+    order = np.empty(n, dtype=np.int32)
+    order[np.searchsorted(table, keys)] = np.arange(n, dtype=np.int32)
+    del keys
+
+    best = [0] * (m_max + 1)
+    for c_g in range(m_max + 1):
+        members = np.flatnonzero(g_cur == c_g)
+        masks = {d: b.keys[members[g_dist[members] == d]] >> np.uint64(_CUR_BITS)
+                 for d in range(1, m_max + 1)}
+        for v_lo in range(0, n, _PAIR_CHUNK):
+            src = order[v_lo:v_lo + _PAIR_CHUNK]
+            a = (offsets[src] + c_g) // block
+            k = a - anchor[src]
+            keep = np.flatnonzero(ids[k, src] >= 0)
+            src, a, k = src[keep], a[keep], k[keep]
+            if not len(src):
                 continue
-            g_mask = key >> _CUR_BITS
-            hits = map(get, [(m ^ (g_mask << s)) | (c + g_cursor) for m, s, c in packed])
-            gaps = [abs(i - j) for i, j in enumerate(hits) if j is not None]
-            if cyclic:
-                gaps = [min(gap, n - gap) for gap in gaps]
-            best[d] = max(best[d], max(gaps, default=0))
+            lift = offsets[src] - block * a  # c_i - A', at least -c_g
+            probe = ((ids[k, src].astype(np.uint64) << id_shift) | windows[k, src]
+                     | ((lift + c_g).astype(np.uint64) << np.uint64(width)))
+            right = np.maximum(-lift, 0).astype(np.uint8)
+            left = np.maximum(lift, 0).astype(np.uint8)
+            rows_per = max(1, _PAIR_CHUNK // len(src))
+            for d, g_masks in masks.items():
+                for lo in range(0, len(g_masks), rows_per):
+                    probes = ((g_masks[lo:lo + rows_per, None] >> right) << left) ^ probe
+                    pos = _find(table, probes.ravel())
+                    hit = np.flatnonzero(pos >= 0)
+                    if len(hit):
+                        gap = np.abs(order[pos[hit]] - src[hit % len(src)])
+                        if cyclic:
+                            gap = np.minimum(gap, n - gap)
+                        best[d] = max(best[d], int(gap.max()))
     return tuple(accumulate(best, max))
 
 

@@ -12,6 +12,7 @@ assembled from those stages and their left-right mirror.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -96,8 +97,9 @@ class Walk:
     cursor exactly when cursors[i + 1] == cursors[i], else it moves the
     cursor by one.  iter_vertices replays the cursors from start, one
     Configuration per vertex, holding only the current one; vertices
-    keeps that replay as a tuple on first access.  Code that only needs
-    the lamps and cursors reads start and cursors instead.  milestones
+    keeps that replay as a tuple on first access; end replays it and
+    keeps only the last vertex.  Code that only needs the lamps and
+    cursors reads start and cursors instead.  milestones
     maps labels to vertex indices.
     """
 
@@ -122,7 +124,7 @@ class Walk:
 
     @property
     def end(self) -> Configuration:
-        return self.vertices[-1]
+        return deque(self.iter_vertices(), maxlen=1)[0]
 
     @property
     def step_count(self) -> int:

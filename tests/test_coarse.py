@@ -40,7 +40,7 @@ from lamplighter import (
 from lamplighter import coarse
 from lamplighter.coarse import PathSpec
 from lamplighter.group import sphere_sizes
-from lamplighter.walks import intrinsic_step_count, path_walk, trailing_ones
+from lamplighter.walks import Walk, intrinsic_step_count, path_walk, trailing_ones
 
 from conftest import oracle_members, traced_peak
 
@@ -57,6 +57,23 @@ def all_pairs_profile(vertices, cyclic, m_max):
             gap = min(j - i, n - (j - i)) if cyclic else j - i
             best[d] = max(best[d], gap)
     return tuple(itertools.accumulate(best, max))
+
+
+def _profile(spec, index_limit):
+    return lambda m: distortion_profile(spec, index_limit, m).entries
+
+
+JOIN_CASES = {  # name: (profile at M, the same vertices, cyclic)
+    "N300": (_profile(PathSpec("N"), 300), lambda: half_quasi_line(300).vertices, False),
+    "R300": (_profile(PathSpec("R"), 300), lambda: quasi_line(75, 150).vertices, False),
+    "I1": (_profile(PathSpec("I", 1), 300), lambda: quasi_interval(1).vertices, False),
+    "C1": (_profile(PathSpec("C", 1), 300), lambda: quasi_circle(1).vertices[:-1], True),
+    "C2": (_profile(PathSpec("C", 2), 300), lambda: quasi_circle(2).vertices[:-1], True),
+    "R150": (lambda m: coarse._join_profile(quasi_line(150, 150), 301, False, m),
+             lambda: quasi_line(150, 150).vertices[:301], False),
+    "N40": (_profile(PathSpec("N"), 40), lambda: half_quasi_line(40).vertices, False),
+    "R40": (_profile(PathSpec("R"), 40), lambda: quasi_line(10, 20).vertices, False),
+}
 
 
 def key_distances(b):
@@ -355,6 +372,16 @@ class TestPackedKernels:
             ball_defs = {stmt.name for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Ball"
                          for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
             assert not ball_defs & {"items", "sphere_sizes"}, path.name
+        # the profile join packs its lamp rows in numpy, so the Python-int
+        # lamp words have one caller left, _walk_keys
+        for path in Path(coarse.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            callers = {fn.name for fn in ast.parse(text).body if isinstance(fn, ast.FunctionDef)
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "_lamp_words"}
+            expected = 2 if path.name == "coarse.py" else 0  # the definition and one call
+            assert text.count("_lamp_words(") == expected, path.name
+            assert callers == ({"_walk_keys"} if expected else set()), path.name
 
     @pytest.mark.parametrize("kind,n", [
         *itertools.product("IC", range(1, 7)), ("R", 5), ("R", 14),
@@ -787,26 +814,70 @@ class TestDistortionProfile:
     def test_frozen_profiles(self, spec, entries):
         assert distortion_profile(spec, 2000, 4).entries == entries
 
+    @pytest.mark.parametrize(
+        "spec,index_limit,m_max,entries",
+        [
+            (PathSpec("C", 4), 2000, 4, (0, 13, 46, 117, 266)),
+            (PathSpec("C", 5), 2000, 4, (0, 13, 46, 117, 266)),
+            (PathSpec("C", 3), 2000, 8, (0, 13, 46, 117, 264, 557, 1144, 1145, 1145)),
+            (PathSpec("N"), 4000, 8, (0, 1, 6, 31, 32, 149, 150, 601, 602)),
+            (PathSpec("R"), 4000, 8, (0, 7, 8, 31, 32, 147, 148, 597, 598)),
+            (PathSpec("I", 2), 2000, 8, (0, 13, 46, 115, 452, 481, 492, 493, 502)),
+        ],
+        ids=["C4-4", "C5-4", "C3-8", "N4000-8", "R4000-8", "I2-8"],
+    )
+    def test_frozen_profiles_at_larger_scales(self, spec, index_limit, m_max, entries):
+        assert distortion_profile(spec, index_limit, m_max).entries == entries
+
     def test_zero_step_gap_is_zero_and_entries_grow(self):
         p = distortion_profile(PathSpec("N"), 2000, 6)
         assert p.entries[0] == 0
         assert all(a <= b for a, b in zip(p.entries, p.entries[1:]))
 
-    @pytest.mark.parametrize("m_max", [4, 6])
     @pytest.mark.parametrize(
-        "spec,walk,cyclic",
-        [
-            (PathSpec("N"), lambda: half_quasi_line(300).vertices, False),
-            (PathSpec("R"), lambda: quasi_line(75, 150).vertices, False),
-            (PathSpec("I", 1), lambda: quasi_interval(1).vertices, False),
-            (PathSpec("C", 1), lambda: quasi_circle(1).vertices[:-1], True),
-            (PathSpec("C", 2), lambda: quasi_circle(2).vertices[:-1], True),
-        ],
-        ids=["N300", "R300", "I1", "C1", "C2"],
+        "case,m_max",
+        [*itertools.product(["N300", "R300", "I1", "C1", "C2", "R150"], [4, 6]),
+         ("N40", 21), ("R40", 21)],
+        ids=lambda v: str(v),
     )
-    def test_join_matches_all_pairs(self, spec, walk, cyclic, m_max):
-        expected = all_pairs_profile(walk(), cyclic, m_max)
-        assert distortion_profile(spec, 300, m_max).entries == expected
+    def test_join_matches_all_pairs(self, case, m_max):
+        # R150 is the ray of quasi_line(150, 150): lamps -150..-1, so no
+        # window of the join holds them all; N40 and R40 at M = 21 join
+        # 41 vertices with the 374,958 members of B(e, 21)
+        profile, walk, cyclic = JOIN_CASES[case]
+        assert profile(m_max) == all_pairs_profile(walk(), cyclic, m_max)
+
+    def test_join_key_fits_a_word(self):
+        for m_max in range(27):
+            for n in (2, 41, 10_001, 2_488_608):
+                block = coarse._join_block(m_max, n, 10_000)
+                key_bits = ((n - 1).bit_length() + (block - 1).bit_length()
+                            + block + m_max + m_max // 2)
+                assert 1 <= block and key_bits <= 64
+        assert coarse._join_block(4, 38_586, 35) == 35  # C5: one block, no outside ids
+        with pytest.raises(ResourceLimitError, match="64 bits"):
+            coarse._join_block(26, 1 << 25, 10_000)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+    def test_join_is_exact_for_any_block(self, block, monkeypatch):
+        # a narrow block sends most translates to an anchor past their own,
+        # where a window, an outside id and a shifted member mask must agree
+        monkeypatch.setattr(coarse, "_join_block", lambda *args: block)
+        for walk, n, cyclic, m_max in (
+            (quasi_line(40, 120), 201, False, 5),
+            (quasi_interval(1), 84, False, 6),
+            (quasi_circle(1), 86, True, 7),
+        ):
+            expected = all_pairs_profile(walk.vertices[:n], cyclic, m_max)
+            assert coarse._join_profile(walk, n, cyclic, m_max) == expected
+
+    def test_join_reads_the_word_past_the_top_window(self, monkeypatch):
+        # at block 7 and M = 6 the top window starts at bit 63 and the
+        # lamp toggled at the top cursor sits at bit 66, in the next word
+        monkeypatch.setattr(coarse, "_join_block", lambda *args: 7)
+        walk = Walk(IDENTITY, [*range(61), 60, 59, 59, 58])
+        expected = all_pairs_profile(walk.vertices, False, 6)
+        assert coarse._join_profile(walk, 65, False, 6) == expected == (0, 1, 2, 3, 4, 5, 6)
 
     def test_stable_in_index_limit(self):
         assert (

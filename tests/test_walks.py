@@ -227,6 +227,12 @@ class TestQuasiInterval:
     def test_simple(self, n):
         assert quasi_interval(n).is_simple()
 
+    def test_end_builds_no_vertex_tuple(self):
+        w = quasi_interval(3)
+        end = w.end
+        assert "vertices" not in w.__dict__
+        assert end == Configuration(range(7), 6) == w.vertices[-1]
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_third_segment_mirrors_first(self, n):
         w = quasi_interval(n)
