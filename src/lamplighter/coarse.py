@@ -4,14 +4,14 @@ A metric ball is the sorted table of its members' packed keys (lamp
 window plus cursor in one 64-bit word), found by breadth-first search;
 distances are the closed form on the keys.  Obstacles are the explicit
 walks; removing an obstacle neighborhood and decomposing what is left
-gives ball-local separation verdicts.  Every finite walk (interval,
-circle, the quasi-line's negative ray, a probe's seed stage) is read as
-lamp words replayed from its start and cursors, never as one
-Configuration per vertex.  The profile join packs the same lamps in
-numpy, one row of uint64 words per vertex, and keys each vertex by the
-lamps in a window anchored near its cursor beside an exact rank of the
-lamps outside it, so every translate by a ball member is one
-searchsorted in the sorted keys.
+gives ball-local separation verdicts.  Every walk (interval, circle,
+the quasi-line's negative ray, a probe's seed stage, a profiled path)
+is read from its start and cursors, never as one Configuration per
+vertex: one numpy packer xor-accumulates its lamps a uint64 word column
+at a time.  Ball-local walk keys hold the lamps around the identity or
+a probe; the profile join's keys hold those in a window anchored near
+each cursor beside an exact rank of the lamps outside it, so every
+translate by a ball member is one searchsorted in the sorted keys.
 Enumeration of the infinite paths is truncated by provable per-stage
 lower bounds: lamps above the trailing block never change during a
 stage, so any stage whose persistent high bits already cost more than
@@ -292,34 +292,37 @@ def _members(b: Ball, keys: np.ndarray) -> np.ndarray:
     return keys[_find(b._keys, keys) >= 0]
 
 
-def _lamp_words(start: Configuration, cursors: Iterable[int], off: int
-                ) -> Iterator[tuple[int, int]]:
-    """(lamp word, cursor) at each vertex of the walk from start with
-    these cursors, lamp p at bit p + off (off must keep every lamp at a
-    bit >= 0).  A repeated cursor toggles the lamp under it."""
-    word = sum(1 << (p + off) for p in start.lamps)
-    prev = None
-    for cursor in cursors:
-        if cursor == prev:
-            word ^= 1 << (cursor + off)
-        prev = cursor
-        yield word, cursor
-
-
-def _walk_keys(start: Configuration, cursors: list[int], off: int) -> np.ndarray:
-    """Ball.pack keys (radius off), in walk order, of the vertices of the
-    walk from start with these cursors whose lamps and cursor all lie in
-    [-off, off].  Lamps outside the window are tracked too, so a vertex
-    with one of them lit is left out."""
-    low = max(off, -min(cursors), -min(start.lamps, default=0))
-    shift = low - off
-    outside = ~(((1 << (2 * off + 1)) - 1) << shift)
-    keys = [
-        ((word >> shift) << _CUR_BITS) | (cursor + off)
-        for word, cursor in _lamp_words(start, cursors, low)
-        if -off <= cursor <= off and not word & outside
-    ]
-    return np.array(keys, dtype=np.uint64)
+def _walk_keys(walk: Walk, off: int, v: Configuration = IDENTITY) -> np.ndarray:
+    """Ball.pack keys (radius off), in walk order, of the vertices v^-1 w
+    whose lamps and cursor all lie in [-off, off].  Lamp p sits at bit p
+    + low of the _lamp_columns, low = off + 64 m for the least m >= 0
+    that keeps every cursor at a bit >= 0 (the window is then bits 0..2
+    off of word m), read _REPLAY_ROWS cursors at a time from the last row
+    before, each word at the slice start xored in.  A row with a bit lit
+    outside the window is left out; a lit lamp past the columns, which no
+    cursor reaches, leaves every row out."""
+    start, cursors = compose(invert(v), walk.start), walk.cursors
+    low = off + 64 * max(0, -((min(cursors) - v.cursor + off) // 64))
+    words = (max(max(cursors) - v.cursor, 0) + low) // 64 + 1
+    if any(not 0 <= p + low < 64 * words for p in start.lamps):
+        return np.zeros(0, dtype=np.uint64)
+    word = sum(1 << (p + low) for p in start.lamps)
+    carry = np.frombuffer(word.to_bytes(8 * words, "little"), dtype="<u8").astype(np.uint64)
+    window = np.uint64((1 << (2 * off + 1)) - 1)
+    found = []
+    for lo in range(0, len(cursors), _REPLAY_ROWS):
+        c = np.array(cursors[max(lo - 1, 0):lo + _REPLAY_ROWS], dtype=np.int64) - v.cursor
+        keep = np.abs(c) <= off
+        keep[0] &= lo == 0  # else the last row of the slice before
+        for j, col in enumerate(_lamp_columns(c, low, words)):
+            col ^= carry[j]
+            carry[j] = col[-1]
+            if j == low >> 6:  # word m, off < 64
+                lamps = col & window
+                col ^= lamps
+            keep &= col == 0
+        found.append((lamps[keep] << np.uint64(_CUR_BITS)) | (c[keep] + off).astype(np.uint64))
+    return np.concatenate(found)
 
 
 _MOVE = -2  # template gate of a cursor move: no lamp toggles
@@ -428,14 +431,13 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
     if b.center != IDENTITY:
         raise ValueError("path enumeration requires a ball centered at the identity")
     if spec.kind in ("I", "C"):
-        walk = path_walk(spec.kind, spec.n)
-        return _members(b, _walk_keys(walk.start, walk.cursors, b.radius))
+        return _members(b, _walk_keys(path_walk(spec.kind, spec.n), b.radius))
     line = _counter_line_keys_in_ball(b)
     if spec.kind == "N":
         return line
     # quasi-line: the ray anchor i sits at distance 2i, interpolants at 2i+1
     ray = quasi_line(b.radius // 2 + 1, 0)
-    return _members(b, np.concatenate([line, _walk_keys(ray.start, ray.cursors, b.radius)]))
+    return _members(b, np.concatenate([line, _walk_keys(ray, b.radius)]))
 
 
 def path_in_ball(spec: PathSpec, b: Ball) -> set[Configuration]:
@@ -474,11 +476,9 @@ def _packed_distance(keys: np.ndarray, off: int, vmask: int, vcur: int) -> np.nd
 
 def _walk_distance(v: Configuration, walk: Walk, off: int) -> int:
     """Min word distance from v to the walk when it is at most off, else
-    some larger value.  The walk is packed relative to v (start v^-1
-    start, cursors shifted by -v.cursor): a vertex outside the radius-off
-    window then lies more than off from v."""
-    cursors = [c - v.cursor for c in walk.cursors]
-    keys = _walk_keys(compose(invert(v), walk.start), cursors, off)
+    some larger value: the walk is packed relative to v, and a vertex
+    outside the radius-off window lies more than off from v."""
+    keys = _walk_keys(walk, off, v)
     return min((int(_packed_distance(keys[lo:lo + _SCAN_CHUNK], off, 0, 0).min())
                 for lo in range(0, len(keys), _SCAN_CHUNK)), default=off + 1)
 
@@ -522,10 +522,10 @@ def _distance_to_counter_line(v: Configuration, cap: int) -> int:
 def distance_to_path(v: Configuration, spec: PathSpec, cap: int):
     """Min word distance from v to the path if at most cap, else EXCEEDS.
 
-    I, C and the quasi-line's negative ray are packed relative to v in a
-    window of radius min(cap, 28) and scored by the closed form.  The
-    infinite kinds replay, in a single pass, every stage whose origin
-    bound is at most d(e, v) + min(cap, best - 1), where best is the
+    I, C and the quasi-line's negative ray are packed relative to v (the
+    keys of v^-1 w) in a window of radius min(cap, 28) and scored by the
+    closed form.  The infinite kinds replay, in one pass, every stage of
+    origin bound at most d(e, v) + min(cap, best - 1), where best is the
     distance to the stage that shows v's lamps at positions >= 0.
     Raises ResourceLimitError when a stage that could still come closer
     lies past the packing window (d(e, stage) > 28), when v has a lamp

@@ -366,27 +366,17 @@ class TestPackedKernels:
                       for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
             assert not (names | attrs) & {
                 "Step", "apply_step", "generator", "replay", "stage_step_count", "_profile_walk",
-                "_dists",
+                "_dists", "_lamp_words",
             }, path.name
             assert not attrs & {"steps", "distance"}, path.name
             ball_defs = {stmt.name for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Ball"
                          for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
             assert not ball_defs & {"items", "sphere_sizes"}, path.name
-        # the profile join packs its lamp rows in numpy, so the Python-int
-        # lamp words have one caller left, _walk_keys
-        for path in Path(coarse.__file__).parent.glob("*.py"):
-            text = path.read_text()
-            callers = {fn.name for fn in ast.parse(text).body if isinstance(fn, ast.FunctionDef)
-                       for node in ast.walk(fn) if isinstance(node, ast.Call)
-                       and getattr(node.func, "id", None) == "_lamp_words"}
-            expected = 2 if path.name == "coarse.py" else 0  # the definition and one call
-            assert text.count("_lamp_words(") == expected, path.name
-            assert callers == ({"_walk_keys"} if expected else set()), path.name
 
     @pytest.mark.parametrize("kind,n", [
         *itertools.product("IC", range(1, 7)), ("R", 5), ("R", 14),
     ])
-    def test_walk_keys_match_ball_pack_of_every_vertex(self, kind, n):
+    def test_walk_keys_match_ball_pack_of_every_vertex(self, kind, n, monkeypatch):
         # kind R is the quasi-line's negative ray out to anchor n
         walk = quasi_line(n, 0) if kind == "R" else path_walk(kind, n)
         vertices = walk.vertices
@@ -395,7 +385,7 @@ class TestPackedKernels:
         for off in (1, 6, extent):
             window = coarse.Ball(IDENTITY, off, np.array([], dtype=np.uint64))
             want = [key for key in map(window.pack, vertices) if key is not None]
-            got = coarse._walk_keys(walk.start, walk.cursors, off)
+            got = coarse._walk_keys(walk, off)
             assert got.dtype == np.uint64
             assert got.tolist() == want, off
             # on an interval or circle some vertex with its cursor in the
@@ -404,6 +394,22 @@ class TestPackedKernels:
             dropped = sum(abs(v.cursor) <= off for v in vertices) - len(want)
             assert (dropped > 0) == (off < extent and walk.kind != "R"), off
         assert len(got) == len(vertices)  # the whole walk fits its extent
+        # relative to a probe v the keys are those of v^-1 w: v with a lamp
+        # below or above the walk, at -+70 or 10**6 (past the lamp columns,
+        # which end at the walk's cursors), or a vertex of the walk moved
+        # right (whose window can sit in word 1); slices of a few
+        # rows put toggles on the slice boundaries
+        low, high = min(*lamps, *walk.cursors), max(*lamps, *walk.cursors)
+        moved = compose(vertices[len(vertices) // 2], Configuration([], 3))
+        for v in (IDENTITY, Configuration([low - 3], 0), Configuration([high + 2, 0], -1),
+                  Configuration([-70], 2), Configuration([70, -1], 0), Configuration([10**6], 0),
+                  moved):
+            for off in (6, extent) if len(vertices) < 3_000 else ():
+                window = coarse.Ball(v, off, np.array([], dtype=np.uint64))
+                want = [key for key in map(window.pack, vertices) if key is not None]
+                for rows in (5, 64, 1 << 14):
+                    monkeypatch.setattr(coarse, "_REPLAY_ROWS", rows)
+                    assert coarse._walk_keys(walk, off, v).tolist() == want, (v, off, rows)
 
 
 class TestPathSpec:
@@ -948,7 +954,8 @@ class TestCircleFamily:
 
 
 class TestWorkingSet:
-    """The ball layer's scratch memory per ball member, at R = 20."""
+    """The coarse layer's scratch memory: per ball member at R = 20, and
+    per vertex of a packed walk."""
 
     def test_ball_build(self):
         members = coarse.ball_member_count(20)
@@ -960,3 +967,11 @@ class TestWorkingSet:
         peak = traced_peak(lambda: separation_report(PathSpec("N"), 0, 20, p.a_n, p.b_n,
                                                      prebuilt_ball=b))
         assert peak <= 16 * len(b)
+
+    def test_walk_keys(self):
+        # the kept keys take 8 B a vertex, and the replay holds one slice
+        # of cursors and lamp columns at a time, not the whole walk
+        walk = path_walk("C", 6)
+        extent = max(map(abs, walk.cursors))  # every lamp is lit under a cursor
+        assert traced_peak(lambda: coarse._walk_keys(walk, extent)) <= 24 * len(walk.cursors)
+        assert traced_peak(lambda: coarse._walk_keys(walk, 6)) <= 1 << 20
