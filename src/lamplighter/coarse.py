@@ -112,54 +112,44 @@ class Ball:
                  toggles: np.ndarray | None = None):
         self.center = center
         self.radius = radius
-        self._keys = keys
+        self.keys = keys  # the members' packed keys (uint64), sorted
         if toggles is not None:  # the ball graph is then not searched for
             self.toggles = toggles
 
     @property
-    def keys(self) -> np.ndarray:
-        """The members' packed keys (uint64), sorted."""
-        return self._keys
-
-    @property
     def member_count(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.keys)
 
     def pack(self, g: Configuration) -> int | None:
-        """Packed key of g relative to the center, or None if outside
-        the representable window (such a vertex cannot be a member)."""
-        if self.center != IDENTITY:
-            g = compose(invert(self.center), g)
-        r = self.radius
-        if abs(g.cursor) > r:
+        """Packed key of c^-1 g for the center c (g's lamps xor c's, and
+        g's cursor, each shifted by -c.cursor), or None if outside the
+        representable window (such a vertex cannot be a member)."""
+        r, c = self.radius, self.center.cursor
+        if abs(g.cursor - c) > r:
             return None
         mask = 0
-        for p in g.lamps:
-            if abs(p) > r:
+        for p in g.lamps ^ self.center.lamps:
+            if abs(p - c) > r:
                 return None
-            mask |= 1 << (p + r)
-        return (mask << _CUR_BITS) | (g.cursor + r)
+            mask |= 1 << (p - c + r)
+        return (mask << _CUR_BITS) | (g.cursor - c + r)
 
     def unpack(self, key: int) -> Configuration:
-        r = self.radius
+        shift = self.center.cursor - self.radius
         key = int(key)
-        cursor = (key & ((1 << _CUR_BITS) - 1)) - r
         mask = key >> _CUR_BITS
-        lamps = [b - r for b in range(mask.bit_length()) if (mask >> b) & 1]
-        rel = Configuration(lamps, cursor)
-        if self.center != IDENTITY:
-            return compose(self.center, rel)
-        return rel
+        lamps = {b + shift for b in range(mask.bit_length()) if (mask >> b) & 1}
+        return Configuration(self.center.lamps ^ lamps, (key & ((1 << _CUR_BITS) - 1)) + shift)
 
     def _position(self, g: Configuration) -> int:
         """Position of g in the key table, -1 if g is not a member."""
         key = self.pack(g)
         if key is None:
             return -1
-        return int(_find(self._keys, np.array([key], dtype=np.uint64))[0])
+        return int(_find(self.keys, np.array([key], dtype=np.uint64))[0])
 
     def __contains__(self, g: Configuration) -> bool:
         return self._position(g) >= 0
@@ -169,24 +159,21 @@ class Ball:
         """Position of each member's toggle neighbour in the key table
         (int32, -1 outside the ball): given to the constructor, or
         searched for on first use."""
-        return _toggle_column(self._keys)
+        return _toggle_column(self.keys)
 
     @cached_property
-    def _neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ball graph as positions in the key table, built on first use.
-
-        tog is the toggles column.  link[j] (j = 1..len - 1) says keys[j]
-        == keys[j - 1] + 1: key + 1 is the right neighbour, which sits at
-        the next position when it is a member, so member i's right
-        neighbour is a member iff link[i + 1] and its left iff link[i].
-        link[0] and link[len] stay False.
-        """
-        keys = self._keys
-        link = np.zeros(len(keys) + 1, dtype=bool)
-        for lo in range(0, len(keys), _SCAN_CHUNK):
-            part = keys[lo:lo + _SCAN_CHUNK + 1]
-            link[lo + 1:lo + len(part)] = part[1:] - part[:-1] == 1
-        return self.toggles, link
+    def links(self) -> np.ndarray:
+        """The rest of the ball graph, built on first use, _REPLAY_ROWS
+        keys at a time: links[j] (j = 1..len - 1) says keys[j] == keys[j -
+        1] + 1.  key + 1 is the right neighbour, which sits at the next
+        position when it is a member, so member i's right neighbour is a
+        member iff links[i + 1] and its left iff links[i].  links[0] and
+        links[len] stay False."""
+        links = np.zeros(len(self.keys) + 1, dtype=bool)
+        for lo in range(0, len(self.keys), _REPLAY_ROWS):
+            part = self.keys[lo:lo + _REPLAY_ROWS + 1]
+            links[lo + 1:lo + len(part)] = part[1:] - part[:-1] == 1
+        return links
 
 
 def _toggle_column(keys: np.ndarray) -> np.ndarray:
@@ -289,7 +276,7 @@ def encode_members(b: Ball) -> Iterator[str]:
 def _members(b: Ball, keys: np.ndarray) -> np.ndarray:
     """The distinct keys among keys that are members of b, sorted."""
     keys = _unique(keys)
-    return keys[_find(b._keys, keys) >= 0]
+    return keys[_find(b.keys, keys) >= 0]
 
 
 def _walk_keys(walk: Walk, off: int, v: Configuration = IDENTITY) -> np.ndarray:
@@ -378,7 +365,6 @@ def _replay_stages(stages: np.ndarray, k: int, off: int) -> np.ndarray:
     return words
 
 
-_SCAN_CHUNK = 1 << 18
 _REPLAY_ROWS = 1 << 14
 
 
@@ -479,8 +465,8 @@ def _walk_distance(v: Configuration, walk: Walk, off: int) -> int:
     some larger value: the walk is packed relative to v, and a vertex
     outside the radius-off window lies more than off from v."""
     keys = _walk_keys(walk, off, v)
-    return min((int(_packed_distance(keys[lo:lo + _SCAN_CHUNK], off, 0, 0).min())
-                for lo in range(0, len(keys), _SCAN_CHUNK)), default=off + 1)
+    return min((int(_packed_distance(keys[lo:lo + _REPLAY_ROWS], off, 0, 0).min())
+                for lo in range(0, len(keys), _REPLAY_ROWS)), default=off + 1)
 
 
 def _distance_to_counter_line(v: Configuration, cap: int) -> int:
@@ -565,13 +551,13 @@ class Component:
 
 
 def _flood(b: Ball, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]:
-    """Breadth-first levels through the ball's neighbour table.
+    """Breadth-first levels through the ball graph, its toggles and links.
 
     Yields the start positions, then each level's unseen neighbours, as
     sorted int32 positions in the key table (start must be int32 too),
     and marks every yielded position in seen.
     """
-    tog, link = b._neighbors
+    tog, link = b.toggles, b.links
     frontier = start
     while len(frontier):
         seen[frontier] = True
@@ -585,25 +571,14 @@ def _flood(b: Ball, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]
         frontier = _unique(cand[~seen[cand]])
 
 
-def _ball_bfs_from(b: Ball, source_keys: np.ndarray) -> np.ndarray:
-    """Graph distances (int8) from a source set across the whole ball, -1
-    if unreachable (cannot happen for nonempty sources: balls are
-    connected).  Any two members are joined through the center by a path
-    of length at most 2 * radius <= 56 inside the ball, so int8 holds
-    every distance."""
-    dist = np.full(len(b._keys), -1, dtype=np.int8)
-    seen = np.zeros(len(b._keys), dtype=bool)
-    start = np.searchsorted(b._keys, source_keys).astype(np.int32)
-    for level, pos in enumerate(_flood(b, start, seen)):
-        dist[pos] = level
-    return dist
-
-
 def _neighborhood(
     b: Ball, source_keys: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Mask of the ball positions within k of the sources, and each
-    position's distance to the sources (int8, None without sources).
+    position's distance to the sources (int8, None without sources), by
+    one flood from the sources.  Any two members are joined through the
+    center inside the ball, so the flood reaches every member at most 2 *
+    radius <= 56 away.
 
     A kept position's depth below the neighborhood is its distance minus
     k: in a connected graph the distance to the k-neighborhood of a set
@@ -611,8 +586,12 @@ def _neighborhood(
     ints, so no k overflows the int8 distances.
     """
     if len(source_keys) == 0:
-        return np.zeros(len(b._keys), dtype=bool), None
-    dist = _ball_bfs_from(b, source_keys)
+        return np.zeros(len(b.keys), dtype=bool), None
+    dist = np.full(len(b.keys), -1, dtype=np.int8)
+    seen = np.zeros(len(b.keys), dtype=bool)
+    start = np.searchsorted(b.keys, source_keys).astype(np.int32)
+    for level, pos in enumerate(_flood(b, start, seen)):
+        dist[pos] = level
     return (dist >= 0) & (dist <= k), dist
 
 
@@ -631,7 +610,7 @@ def _decompose(
     is its largest distance to the sources minus k (dist and k as from
     _neighborhood).
     """
-    keys = b._keys
+    keys = b.keys
     seen = removed.copy()
     ids = [-1] * len(probes)
     comps: list[Component] = []
@@ -943,8 +922,8 @@ def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ..
     b = ball(IDENTITY, m_max)
     g_cur = np.empty(len(b.keys), dtype=np.int8)
     g_dist = np.empty(len(b.keys), dtype=np.int8)
-    for lo in range(0, len(b.keys), _SCAN_CHUNK):
-        part = b.keys[lo:lo + _SCAN_CHUNK]
+    for lo in range(0, len(b.keys), _REPLAY_ROWS):
+        part = b.keys[lo:lo + _REPLAY_ROWS]
         g_cur[lo:lo + len(part)] = (part & _CUR_MASK).astype(np.int64) - m_max
         g_dist[lo:lo + len(part)] = _packed_distance(part, m_max, 0, 0)
 

@@ -109,6 +109,28 @@ class TestWalkCommand:
         assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (["walk", "--kind", "N"], "kind N needs --steps >= 1"),
+    (["walk", "--kind", "N", "--steps", "5", "--n", "2"], "kind N takes no --n"),
+    (["walk", "--kind", "I", "--n", "2", "--steps", "5"], "kind I has intrinsic length; drop --steps"),
+    (["ball", "--radius", "-1"], "--radius must be nonnegative"),
+    (["profile", "--family", "1,2", "--kind", "N"], "--family profiles circles; drop --kind"),
+    (["profile", "--family", "1,x"], "--family: not a comma-separated int list: '1,x'"),
+    (["profile", "--family", "7"], "--family: circle scales must be within 1..6"),
+    (["profile"], "need --kind or --family"),
+    (["profile", "--kind", "I"], "kind I needs n >= 1"),
+    (["separate", "--kind", "I", "--radius", "4"], "kind I needs n >= 1"),
+    (["separate", "--kind", "N", "--n", "3", "--radius", "4"], "kind N takes no n"),
+    (["separate", "--kind", "N", "--radius", "4", "--probe-n", "0"], "--probe-n must be >= 1"),
+])
+def test_usage_errors(runner, cache_env, args, message):
+    r = runner.invoke(main, args, env=cache_env)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines()[-1] == f"Error: {message}"
+    assert not os.path.exists(cache_env["LL_COARSE_CACHE_DIR"])  # refused before any work
+
+
 def reference_walk_text(walk):
     """The walk file written from Walk.vertices, one encode_config per vertex."""
     header = json.dumps({"kind": walk.kind, "n": walk.n, "steps": walk.step_count},
@@ -330,6 +352,24 @@ class TestWalkCache:
     def test_no_cache_flag_skips_storage(self, runner, cache_env):
         run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--no-cache", "--out", "-")
         assert not os.path.exists(os.path.join(self.cache_dir(cache_env), "N-0-12.walk"))
+
+    def test_entry_with_another_header_is_regenerated(self, runner, cache_env):
+        # R-0-12 under the name N-0-12 has a matching digest and line count,
+        # so only the header check can catch it
+        run(runner, cache_env, "walk", "--kind", "R", "--steps", "12", "--out", "-")
+        cache = Path(self.cache_dir(cache_env))
+        for suffix in ("", ".sha256"):
+            (cache / f"N-0-12.walk{suffix}").write_bytes((cache / f"R-0-12.walk{suffix}").read_bytes())
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stderr == "warning: corrupt cache entry N-0-12.walk, ignoring\n"
+        fresh = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--no-cache", "--out", "-")
+        assert r.stdout_bytes == fresh.stdout_bytes == WALK_N12.encode()
+
+    def test_output_into_a_missing_directory_leaves_no_temp_file(self, runner, cache_env, tmp_path):
+        out = tmp_path / "missing" / "walk.txt"
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", str(out), code=2)
+        assert f"cannot write {out}" in r.stderr
+        assert os.listdir(self.cache_dir(cache_env)) == []  # the store dropped its open temp file
 
 
 class TestWalkCacheChunks:
@@ -812,8 +852,8 @@ class TestBallCache:
             path = self.entry(cache_env, radius)
             data = path.read_bytes()
             assert Path(f"{path}.sha256").read_text() == hashlib.sha256(data).hexdigest() + "\n"
-            assert np.array_equal(np.frombuffer(data, "<u8", len(b)), b._keys)
-            assert np.array_equal(np.frombuffer(data, "<i4", offset=8 * len(b)), b._neighbors[0])
+            assert np.array_equal(np.frombuffer(data, "<u8", len(b)), b.keys)
+            assert np.array_equal(np.frombuffer(data, "<i4", offset=8 * len(b)), b.toggles)
 
     @pytest.mark.parametrize("corrupt", BALL_CORRUPTIONS.values(), ids=BALL_CORRUPTIONS.keys())
     def test_corrupt_entry_is_reported_and_rewritten(self, runner, cache_env, corrupt):

@@ -26,6 +26,7 @@ from lamplighter import (
     distance_to_path,
     distortion_profile,
     half_quasi_line,
+    invert,
     neighbors,
     path_in_ball,
     probes,
@@ -140,6 +141,21 @@ class TestBall:
         b = ball(g, 3)
         assert dict(oracle_members(b)) == {compose(g, v): d for v, d in bfs_ball(IDENTITY, 3).items()}
 
+    @given(st.sets(st.integers(-40, 40), max_size=10), st.integers(-40, 40),
+           st.sets(st.integers(-12, 12), max_size=10), st.integers(-12, 12), st.integers(0, 10))
+    @example(set(), 0, {-3, 3}, 2, 3)
+    def test_pack_is_the_key_of_the_translate(self, c_lamps, c_cursor, h_lamps, h_cursor, r):
+        # g = c h for a center c and a configuration h with lamps on both
+        # sides of its cursor, some of them outside the radius-r window
+        c = Configuration(c_lamps, c_cursor)
+        g = compose(c, Configuration(h_lamps, h_cursor))
+        empty = np.array([], dtype=np.uint64)
+        centered = coarse.Ball(c, r, empty)
+        key = centered.pack(g)
+        assert key == coarse.Ball(IDENTITY, r, empty).pack(compose(invert(c), g))
+        if key is not None:
+            assert centered.unpack(key) == g
+
     def test_radius_window_guard(self):
         with pytest.raises(ValueError, match="packing window"):
             ball(IDENTITY, 29)
@@ -181,11 +197,11 @@ class TestBall:
         # radius r, moved into the radius-20 window; the closed form on
         # each of those balls' own keys counts the same levels
         small = ball(IDENTITY, 6)
-        assert rewindow(small._keys, 6, 20).tolist() == [b.pack(g) for g, _ in oracle_members(small)]
+        assert rewindow(small.keys, 6, 20).tolist() == [b.pack(g) for g, _ in oracle_members(small)]
         sizes = key_sphere_sizes(b)
         for r in range(21):
             inner = ball(IDENTITY, r)
-            assert np.array_equal(rewindow(inner._keys, r, 20), b._keys[dists <= r])
+            assert np.array_equal(rewindow(inner.keys, r, 20), b.keys[dists <= r])
             assert key_sphere_sizes(inner) == sizes[: r + 1]
 
 
@@ -270,31 +286,33 @@ class TestPackedKernels:
                 assert all(trailing_ones(s) == k for s in stages.tolist()), (r, k)
                 assert len(set(stages.tolist())) == len(stages), (r, k)
 
-    def test_neighbor_table_matches_searchsorted(self):
-        b = ball(IDENTITY, 12)
-        keys = b._keys
+    def test_neighbor_table_matches_searchsorted(self, monkeypatch):
+        keys = ball(IDENTITY, 12).keys
         want = []
         for nbr in coarse._neighbor_keys(keys):
             pos = np.minimum(np.searchsorted(keys, nbr), len(keys) - 1)
             want.append(np.where(keys[pos] == nbr, pos, -1))
-        tog, link = b._neighbors
-        assert tog.dtype == np.int32
-        assert np.array_equal(tog, want[0])
         index = np.arange(len(keys))
-        assert np.array_equal(np.where(link[1:], index + 1, -1), want[1])
-        assert np.array_equal(np.where(link[:-1], index - 1, -1), want[2])
+        for rows in (7, 1 << 14):  # both columns are built rows keys at a time
+            monkeypatch.setattr(coarse, "_REPLAY_ROWS", rows)
+            b = coarse.Ball(IDENTITY, 12, keys)
+            tog, link = b.toggles, b.links
+            assert tog.dtype == np.int32
+            assert np.array_equal(tog, want[0])
+            assert np.array_equal(np.where(link[1:], index + 1, -1), want[1])
+            assert np.array_equal(np.where(link[:-1], index - 1, -1), want[2])
 
     def test_given_toggles_are_not_searched(self, monkeypatch):
         b = ball(IDENTITY, 10)
-        tog, link = b._neighbors
+        tog, link = b.toggles, b.links
 
         def no_search(keys):
             raise AssertionError("the toggle column was searched for")
 
         monkeypatch.setattr(coarse, "_toggle_column", no_search)
         given = coarse.Ball(IDENTITY, 10, b.keys.copy(), tog.copy())
-        assert np.array_equal(given._neighbors[0], tog)
-        assert np.array_equal(given._neighbors[1], link)
+        assert np.array_equal(given.toggles, tog)
+        assert np.array_equal(given.links, link)
 
     @pytest.mark.parametrize("radius", [0, 1, 12, 28])
     def test_member_count_is_the_closed_form(self, radius):
@@ -354,7 +372,10 @@ class TestPackedKernels:
         # and every profile comes from distortion_profile (no _profile_walk).
         # A ball is its keys: no cached distance column (_dists), and no
         # Ball.items or Ball.sphere_sizes to rebuild members or levels from
-        # one (group.sphere_sizes is the closed-form count)
+        # one (group.sphere_sizes is the closed-form count).  Its graph is
+        # two named columns, toggles and links (no _neighbors tuple), one
+        # flood serves _neighborhood (no _ball_bfs_from), and every scan
+        # takes _REPLAY_ROWS rows at a time (no _SCAN_CHUNK)
         for path in Path(coarse.__file__).parent.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text())))
             defs = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -366,7 +387,7 @@ class TestPackedKernels:
                       for stmt in node.body if isinstance(stmt, ast.AnnAssign)}
             assert not (names | attrs) & {
                 "Step", "apply_step", "generator", "replay", "stage_step_count", "_profile_walk",
-                "_dists", "_lamp_words",
+                "_dists", "_lamp_words", "_ball_bfs_from", "_neighbors", "_SCAN_CHUNK",
             }, path.name
             assert not attrs & {"steps", "distance"}, path.name
             ball_defs = {stmt.name for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Ball"
@@ -428,6 +449,20 @@ class TestPathSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown path kind"):
             PathSpec("Q")
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: coarse.ball_member_count(-1), "radius must be nonnegative"),
+    (lambda: path_in_ball(PathSpec("N"), ball(Configuration([], 1), 3)),
+     "path enumeration requires a ball centered at the identity"),
+    (lambda: distance_to_path(IDENTITY, PathSpec("N"), cap=-1), "cap must be nonnegative"),
+    (lambda: separation_report(PathSpec("N"), -1, 6, IDENTITY, IDENTITY), "K must be nonnegative"),
+    (lambda: separation_report(PathSpec("N"), 0, 6, IDENTITY, IDENTITY, prebuilt_ball=ball(IDENTITY, 5)),
+     "prebuilt ball does not match the requested radius"),
+], ids=["negative-radius", "centered-ball", "negative-cap", "negative-k", "ball-of-another-radius"])
+def test_input_validation_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def brute_members(vertices, b):
@@ -574,14 +609,14 @@ class TestDistanceToPath:
         # from the path's keys is the word distance to the path
         radius = 14
         b = ball(IDENTITY, radius)
-        dist = coarse._ball_bfs_from(b, coarse._path_keys_in_ball(spec, b))
+        dist = coarse._neighborhood(b, coarse._path_keys_in_ball(spec, b), 0)[1]
         levels = key_distances(b)
         for d0 in range(radius + 1):
             sphere = np.flatnonzero(levels == d0)
             for pos in sphere[:: max(1, len(sphere) // 5)].tolist():
                 cap = radius - d0
                 want = int(dist[pos]) if dist[pos] <= cap else EXCEEDS
-                v = b.unpack(b._keys[pos])
+                v = b.unpack(b.keys[pos])
                 assert distance_to_path(v, spec, cap) == want, (v, cap)
 
 
@@ -774,7 +809,7 @@ class TestSeparationReport:
                 removed, dist = coarse._neighborhood(b, coarse._path_keys_in_ball(spec, b), k)
                 gap = dist - slack
                 inner, edge, beyond = (
-                    b.unpack(b._keys[np.flatnonzero(cls & ~removed)[-1]])
+                    b.unpack(b.keys[np.flatnonzero(cls & ~removed)[-1]])
                     for cls in (gap <= 0, gap == 1, gap == 2)
                 )
                 for pa, pb in ((inner, edge), (beyond, inner)):

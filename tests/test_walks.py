@@ -384,3 +384,15 @@ class TestProbes:
         assert word_distance(IDENTITY, p.a_n) == 5 * n - 2
         assert word_distance(IDENTITY, p.x_n) == 5 * n + 1
         assert word_distance(IDENTITY, p.b_n) == n
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: trailing_ones(-1), "n must be nonnegative"),
+    (lambda: stage_config(-1), "n must be nonnegative"),
+    (lambda: half_quasi_line(-1), "num_steps must be nonnegative"),
+    (lambda: quasi_line(-1, 0), "lengths must be nonnegative"),
+    (lambda: probes(0), "n must be at least 1"),
+], ids=["trailing_ones", "stage_config", "half_quasi_line", "quasi_line", "probes"])
+def test_negative_sizes_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
