@@ -792,11 +792,6 @@ class DistortionProfile:
         return "\n".join(lines) + "\n"
 
 
-# rows per step of the profile join's column and probe loops; at 1 << 14
-# the C5 join of verify check 9 ends 0.5 MB closer to check 3's peak
-_PAIR_CHUNK = 1 << 13
-
-
 def _lamp_columns(cursors: np.ndarray, low: int, words: int) -> Iterator[np.ndarray]:
     """Word j = 0..words - 1 of the lamps of each vertex of the walk with
     these cursors from no lamp lit, lamp p at bit (p + low) % 64 of word
@@ -825,11 +820,11 @@ def _split_columns(columns: Iterable[np.ndarray], word: np.ndarray, bit: np.ndar
     for j, col in enumerate(columns):
         if len(word) > len(col):
             col = np.tile(col, len(word) // len(col))
-        for lo in range(0, len(col), _PAIR_CHUNK):
-            part, w, b = (x[lo:lo + _PAIR_CHUNK] for x in (col, word, bit))
+        for lo in range(0, len(col), _REPLAY_ROWS):
+            part, w, b = (x[lo:lo + _REPLAY_ROWS] for x in (col, word, bit))
             low = np.where(w == j, mask << b, 0)  # the window's bits in this word
             high = np.where(w == j - 1, (mask >> one) >> (top - b), 0)  # in the next
-            windows[lo:lo + _PAIR_CHUNK] |= ((part & low) >> b) | (((part & high) << one) << (top - b))
+            windows[lo:lo + _REPLAY_ROWS] |= ((part & low) >> b) | (((part & high) << one) << (top - b))
             part &= ~(low | high)
         yield col
 
@@ -849,8 +844,8 @@ def _rank_rows(columns: Iterable[np.ndarray], n: int) -> np.ndarray:
     """
     def rank(values):  # in place
         distinct = _unique(values[:n])
-        for lo in range(0, len(values), _PAIR_CHUNK):
-            part = values[lo:lo + _PAIR_CHUNK]
+        for lo in range(0, len(values), _REPLAY_ROWS):
+            part = values[lo:lo + _REPLAY_ROWS]
             part[:] = _find(distinct, part).view(np.uint64)
         return values
 
@@ -966,8 +961,8 @@ def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ..
         members = np.flatnonzero(g_cur == c_g)
         masks = {d: b.keys[members[g_dist[members] == d]] >> np.uint64(_CUR_BITS)
                  for d in range(1, m_max + 1)}
-        for v_lo in range(0, n, _PAIR_CHUNK):
-            src = order[v_lo:v_lo + _PAIR_CHUNK]
+        for v_lo in range(0, n, _REPLAY_ROWS):
+            src = order[v_lo:v_lo + _REPLAY_ROWS]
             a = (offsets[src] + c_g) // block
             k = a - anchor[src]
             keep = np.flatnonzero(ids[k, src] >= 0)
@@ -979,7 +974,7 @@ def _join_profile(walk: Walk, n: int, cyclic: bool, m_max: int) -> tuple[int, ..
                      | ((lift + c_g).astype(np.uint64) << np.uint64(width)))
             right = np.maximum(-lift, 0).astype(np.uint8)
             left = np.maximum(lift, 0).astype(np.uint8)
-            rows_per = max(1, _PAIR_CHUNK // len(src))
+            rows_per = max(1, _REPLAY_ROWS // len(src))
             for d, g_masks in masks.items():
                 for lo in range(0, len(g_masks), rows_per):
                     probes = ((g_masks[lo:lo + rows_per, None] >> right) << left) ^ probe

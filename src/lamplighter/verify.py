@@ -5,23 +5,21 @@ oracle, exhaustive enumeration, or frozen construction identity) and
 returns a pass/fail result with a one-line detail.  The suite is what
 `ll-coarse verify` runs; the test suite asserts every check passes.
 
-The checks share no state, so `run_checks` splits the selected ones
-into one share per CPU this process may run on: share w holds table
-positions w, w + W, ...  The caller runs share 0 itself; each other
-share runs in a child made with `fork` (cheap, since the modules are
-already loaded, and the child sees the check table as it stands), which
-pickles each result onto its own pipe as the check finishes and leaves
-with `os._exit`.  The caller reads every pipe, reaps every child and
-returns the results in table order, each timed in the process that ran
-it.  A worker that dies turns its unreported checks into failures.
-With one check or one CPU, or without `os.fork`, nothing is forked.
-Forking is safe only in a single-threaded process, which is why
-`ll-coarse` keeps numpy's OpenBLAS to one thread.
+The checks share no state, so `run_checks` runs each selected check in
+its own child made with `fork` (cheap, since the modules are already
+loaded, and the child sees the check table as it stands), all at once.
+A worker pickles its one result onto its own pipe and leaves with
+`os._exit`.  The caller reads the pipes in table order, reaps every
+child and returns the results; a worker that dies without reporting
+fails its check.  A check is timed in CPU seconds of the process that
+ran it, so its time is its own however many workers share the CPUs.
+With one check, or without `os.fork`, nothing is forked.  Forking is
+safe only in a single-threaded process, which is why `ll-coarse` keeps
+numpy's OpenBLAS to one thread.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import pickle
@@ -322,28 +320,20 @@ def check_ids() -> list[str]:
     return [check_id for check_id, _, _ in _CHECKS]
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_check(check: _Check) -> CheckResult:
     check_id, name, fn = check
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     try:
         passed, detail = fn()
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CheckResult(check_id, name, passed, detail, time.perf_counter() - t0)
+    return CheckResult(check_id, name, passed, detail, time.process_time() - t0)
 
 
-def _fork_share(share: list[_Check], inherited: list[int]) -> tuple[int, int]:
-    """Fork a worker that runs the share's checks and pickles each
-    result onto a pipe as it finishes; return its pid and the pipe's
-    read end.  inherited are the read ends of earlier workers, which
-    the child closes."""
+def _fork_check(check: _Check, inherited: list[int]) -> tuple[int, int]:
+    """Fork a worker that runs the check and pickles its result onto a
+    pipe; return its pid and the pipe's read end.  inherited are the
+    read ends of earlier workers, which the child closes."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -357,9 +347,7 @@ def _fork_share(share: list[_Check], inherited: list[int]) -> tuple[int, int]:
             for fd in (read_fd, *inherited):
                 os.close(fd)
             with open(write_fd, "wb") as pipe:
-                for check in share:
-                    pipe.write(pickle.dumps(_run_check(check)))
-                    pipe.flush()
+                pipe.write(pickle.dumps(_run_check(check)))
             code = 0
         finally:
             os._exit(code)
@@ -367,38 +355,20 @@ def _fork_share(share: list[_Check], inherited: list[int]) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _share_results(share: list[_Check], data: bytes, status: int) -> list[CheckResult]:
-    """The results a worker pickled, then a failure for each check of
-    its share that it did not report."""
-    results, stream = [], io.BytesIO(data)
-    while len(results) < len(share):
-        try:
-            results.append(pickle.load(stream))
-        except (EOFError, pickle.UnpicklingError):  # the worker died mid-share
-            break
-    code = os.waitstatus_to_exitcode(status)
-    return results + [
-        CheckResult(check_id, name, False, f"worker exited with code {code} before reporting", 0.0)
-        for check_id, name, _ in share[len(results):]
-    ]
-
-
 def run_checks(selection: str = "all") -> list[CheckResult]:
     """Run the verification suite, or a single check by id or prefix,
-    one share of the selected checks per CPU; results in table order."""
+    each selected check in its own worker; results in table order."""
     selected = [check for check in _CHECKS
                 if selection in ("all", check[0], check[0].split("-")[0])]
     if not selected:
         raise ValueError(f"no check matches {selection!r}")
-    workers = min(len(selected), _cpus()) if hasattr(os, "fork") else 1
-    shares = [selected[w::workers] for w in range(workers)]
-    results: list[CheckResult | None] = [None] * len(selected)
-    children: list[tuple[int, int]] = []  # pid and read end per forked share
+    if len(selected) == 1 or not hasattr(os, "fork"):
+        return [_run_check(check) for check in selected]
+    children: list[tuple[int, int]] = []  # pid and read end per worker
     outputs: list[bytes] = []
     try:
-        for share in shares[1:]:
-            children.append(_fork_share(share, [fd for _, fd in children]))
-        results[::workers] = map(_run_check, shares[0])
+        for check in selected:
+            children.append(_fork_check(check, [fd for _, fd in children]))
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 outputs.append(pipe.read())
@@ -409,6 +379,12 @@ def run_checks(selection: str = "all") -> list[CheckResult]:
             if len(outputs) < len(children):  # interrupted: stop the workers
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitpid(pid, 0)[1])
-    for w, (data, status) in enumerate(zip(outputs, statuses), 1):
-        results[w::workers] = _share_results(shares[w], data, status)
+    results = []
+    for (check_id, name, _), data, status in zip(selected, outputs, statuses):
+        try:
+            results.append(pickle.loads(data))
+        except (EOFError, pickle.UnpicklingError):  # the worker died before reporting
+            code = os.waitstatus_to_exitcode(status)
+            results.append(CheckResult(check_id, name, False,
+                                       f"worker exited with code {code} before reporting", 0.0))
     return results

@@ -942,7 +942,6 @@ class TestVerifyCommand:
         assert "FAIL" in r.output
 
     def test_dead_worker_fails_its_check(self, runner, cache_env, monkeypatch, alarm):
-        monkeypatch.setattr(verify, "_cpus", lambda: 2)
         monkeypatch.setattr(verify, "_CHECKS", [
             ("1-fine", "passes", lambda: (True, "fine")),
             ("2-dies", "ends its worker", lambda: os._exit(3)),
@@ -962,7 +961,6 @@ class TestVerifyCommand:
         # the later checks finish first
         checks = [(f"{i}-sleep", "sleeps", sleeper(0.04 * (7 - i))) for i in range(1, 7)]
         monkeypatch.setattr(verify, "_CHECKS", checks)
-        monkeypatch.setattr(verify, "_cpus", lambda: 3)
         r = run(runner, cache_env, "verify", "--suite", "all")
         lines = r.output.splitlines()
         assert [line.split()[1] for line in lines[:-1]] == verify.check_ids()
@@ -973,9 +971,45 @@ class TestVerifyCommand:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(verify, "_cpus", lambda: 4)
         r = run(runner, cache_env, "verify", "--suite", "1")
         assert r.output.startswith("PASS  1-metric-oracle")
+
+    def test_each_check_runs_in_its_own_worker(self, monkeypatch, alarm):
+        monkeypatch.setattr(verify, "_CHECKS", [
+            (f"{i}-pid", "reports its pid", lambda: (True, str(os.getpid()))) for i in range(1, 5)
+        ])
+        pids = [result.detail for result in verify.run_checks("all")]
+        assert len(set(pids)) == 4
+        assert str(os.getpid()) not in pids
+
+    def test_check_time_is_its_own_cpu_time(self, runner, cache_env, monkeypatch, alarm):
+        def sleeper():
+            time.sleep(0.3)
+            return True, "slept"
+
+        monkeypatch.setattr(verify, "_CHECKS", [("1-sleep", "sleeps", sleeper),
+                                                ("2-sleep", "sleeps", sleeper)])
+        r = run(runner, cache_env, "verify", "--suite", "all")
+        assert r.output.splitlines()[:-1] == [
+            f"PASS  {i}-sleep  sleeps  (0.0s)  slept" for i in (1, 2)]
+
+    def test_failed_fork_reaps_the_started_workers(self, monkeypatch, alarm):
+        real_fork, calls = os.fork, []
+
+        def fork():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError("no more processes")
+            return real_fork()
+
+        monkeypatch.setattr(verify, "_CHECKS", [
+            (f"{i}-sleep", "sleeps", lambda: (time.sleep(30), (True, "slept"))[1]) for i in (1, 2, 3)
+        ])
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError, match="no more processes"):
+            verify.run_checks("all")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture()

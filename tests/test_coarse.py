@@ -375,7 +375,9 @@ class TestPackedKernels:
         # one (group.sphere_sizes is the closed-form count).  Its graph is
         # two named columns, toggles and links (no _neighbors tuple), one
         # flood serves _neighborhood (no _ball_bfs_from), and every scan
-        # takes _REPLAY_ROWS rows at a time (no _SCAN_CHUNK)
+        # takes _REPLAY_ROWS rows at a time (no _SCAN_CHUNK), the profile
+        # join too (no _PAIR_CHUNK).  verify runs each check in its own
+        # worker (no _cpus, _fork_share or _share_results)
         for path in Path(coarse.__file__).parent.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text())))
             defs = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -388,6 +390,7 @@ class TestPackedKernels:
             assert not (names | attrs) & {
                 "Step", "apply_step", "generator", "replay", "stage_step_count", "_profile_walk",
                 "_dists", "_lamp_words", "_ball_bfs_from", "_neighbors", "_SCAN_CHUNK",
+                "_PAIR_CHUNK", "_cpus", "_fork_share", "_share_results",
             }, path.name
             assert not attrs & {"steps", "distance"}, path.name
             ball_defs = {stmt.name for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Ball"
