@@ -403,14 +403,6 @@ def _line_keys(radius: int, off: int) -> Iterator[np.ndarray]:
             yield _replay_stages(stages[lo:lo + _REPLAY_ROWS], k, off)
 
 
-def _counter_line_keys_in_ball(b: Ball) -> np.ndarray:
-    """Packed keys of half-quasi-line vertices inside an identity ball."""
-    found = [np.array([], dtype=np.uint64)]
-    for rows in _line_keys(b.radius, b.radius):
-        found.append(_members(b, rows.ravel()))
-    return _unique(np.concatenate(found))
-
-
 def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
     if spec is None:
         return np.array([], dtype=np.uint64)
@@ -418,7 +410,9 @@ def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
         raise ValueError("path enumeration requires a ball centered at the identity")
     if spec.kind in ("I", "C"):
         return _members(b, _walk_keys(path_walk(spec.kind, spec.n), b.radius))
-    line = _counter_line_keys_in_ball(b)
+    # the half-quasi-line: every stage that can reach the ball
+    line = _unique(np.concatenate([_members(b, rows.ravel())
+                                   for rows in _line_keys(b.radius, b.radius)]))
     if spec.kind == "N":
         return line
     # quasi-line: the ray anchor i sits at distance 2i, interpolants at 2i+1
@@ -583,7 +577,8 @@ def _neighborhood(
     A kept position's depth below the neighborhood is its distance minus
     k: in a connected graph the distance to the k-neighborhood of a set
     is the distance to the set minus k.  Callers subtract k as Python
-    ints, so no k overflows the int8 distances.
+    ints, so no k overflows the int8 distances, and the mask is one
+    comparison on the distances read as uint8 (an unreached -1 reads 255).
     """
     if len(source_keys) == 0:
         return np.zeros(len(b.keys), dtype=bool), None
@@ -592,7 +587,7 @@ def _neighborhood(
     start = np.searchsorted(b.keys, source_keys).astype(np.int32)
     for level, pos in enumerate(_flood(b, start, seen)):
         dist[pos] = level
-    return (dist >= 0) & (dist <= k), dist
+    return dist.view(np.uint8) <= k, dist
 
 
 def _decompose(
@@ -608,10 +603,11 @@ def _decompose(
     _REPLAY_ROWS positions at a time.  A probe's id is that of the first
     component whose flood marks its position seen.  A component's depth
     is its largest distance to the sources minus k (dist and k as from
-    _neighborhood).
+    _neighborhood).  The floods mark the removed mask itself as seen, so
+    it reads all True afterwards.
     """
     keys = b.keys
-    seen = removed.copy()
+    seen = removed
     ids = [-1] * len(probes)
     comps: list[Component] = []
     for lo in range(0, len(keys), _REPLAY_ROWS):
@@ -737,7 +733,7 @@ def separation_report(
             raise ProbeInsideObstacleError(
                 f"probe {p!r} lies in the removed obstacle neighborhood"
             )
-
+    obstacle_size = int(removed.sum())  # before _decompose floods the mask
     ids, comps = _decompose(b, removed, dist, k_neighborhood, probe_positions)
     placements = []
     for p, pos, comp_id in zip((probe_a, probe_b), probe_positions, ids):
@@ -763,7 +759,7 @@ def separation_report(
         k_neighborhood=k_neighborhood,
         radius=radius,
         ball_size=b.member_count,
-        obstacle_size=int(removed.sum()),
+        obstacle_size=obstacle_size,
         components=tuple(comps),
         probes=tuple(placements),
         verdict=verdict,

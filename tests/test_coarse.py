@@ -377,7 +377,9 @@ class TestPackedKernels:
         # flood serves _neighborhood (no _ball_bfs_from), and every scan
         # takes _REPLAY_ROWS rows at a time (no _SCAN_CHUNK), the profile
         # join too (no _PAIR_CHUNK).  verify runs each check in its own
-        # worker (no _cpus, _fork_share or _share_results)
+        # worker (no _cpus, _fork_share or _share_results).  The line's
+        # keys in a ball are enumerated inside _path_keys_in_ball, their
+        # only use (no _counter_line_keys_in_ball)
         for path in Path(coarse.__file__).parent.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text())))
             defs = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -390,7 +392,7 @@ class TestPackedKernels:
             assert not (names | attrs) & {
                 "Step", "apply_step", "generator", "replay", "stage_step_count", "_profile_walk",
                 "_dists", "_lamp_words", "_ball_bfs_from", "_neighbors", "_SCAN_CHUNK",
-                "_PAIR_CHUNK", "_cpus", "_fork_share", "_share_results",
+                "_PAIR_CHUNK", "_cpus", "_fork_share", "_share_results", "_counter_line_keys_in_ball",
             }, path.name
             assert not attrs & {"steps", "distance"}, path.name
             ball_defs = {stmt.name for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Ball"
@@ -559,6 +561,38 @@ class TestDistanceToPath:
                 for cap in (4, 12, 28):
                     got = distance_to_path(v, PathSpec(kind, n), cap)
                     assert got == (brute if brute <= cap else EXCEEDS), (kind, n, v, cap)
+
+    def test_line_distances_match_a_stage_scan(self):
+        # a second code path for the N and R distances, by word_distance
+        # over stage walks and the negative ray, with neither _line_stages
+        # nor _packed_distance.  Every vertex of stage s >= 1 lies at least
+        # floor(log2 s) from e, so with b = d(e, v) + cap + 1 the stages
+        # from 2**b on lie more than cap from v, and so does any vertex
+        # more than d(e, v) + cap from e (anchors of quasi_line(6, 0) past
+        # the sixth, at 2i and 2i + 1, included)
+        top = 11  # d(e, v) + cap
+        line = []  # (stage, vertex, distance from e) within top of e
+        for s in range(1 << (top + 1)):
+            for w in stage_walk(s).iter_vertices():
+                d = word_distance(IDENTITY, w)
+                assert d >= s.bit_length() - 1, (s, w)
+                if d <= top:
+                    line.append((s, w, d))
+        ray = [(0, w, word_distance(IDENTITY, w)) for w in quasi_line(top // 2 + 1, 0).iter_vertices()]
+        kinds = (("N", line), ("R", line + ray))
+        rng = random.Random(11)
+        seen = {"N": [0, 0], "R": [0, 0]}  # (within the cap, past it) per kind
+        for _ in range(250):
+            v = Configuration(rng.sample(range(-3, 6), rng.randint(0, 5)), rng.randint(-4, 5))
+            d0 = word_distance(IDENTITY, v)
+            for cap in range(top - d0 + 1):
+                for kind, found in kinds:
+                    brute = min((word_distance(v, w) for s, w, d in found
+                                 if s < 1 << (d0 + cap + 1) and d <= d0 + cap), default=cap + 1)
+                    got = distance_to_path(v, PathSpec(kind), cap)
+                    assert got == (brute if brute <= cap else EXCEEDS), (kind, v, cap)
+                    seen[kind][got is EXCEEDS] += 1
+        assert min(seen["N"] + seen["R"]) >= 100, seen
 
     def test_packing_window_guard(self):
         far = Configuration([], 20)
@@ -1000,11 +1034,25 @@ class TestWorkingSet:
         assert traced_peak(lambda: ball(IDENTITY, 20)) <= 26 * members
 
     def test_separation_report_on_a_prebuilt_ball(self):
+        # the report holds one removed mask and floods in it.  N at K = 0
+        # also builds the ball's toggles and links columns and reads about
+        # 12.8 bytes a member; the other two reuse them and read about 7.5
         b = ball(IDENTITY, 20)
-        p = probes(2)
-        peak = traced_peak(lambda: separation_report(PathSpec("N"), 0, 20, p.a_n, p.b_n,
-                                                     prebuilt_ball=b))
-        assert peak <= 16 * len(b)
+        for spec, k, p, cap in ((PathSpec("N"), 0, probes(2), 14),
+                                (PathSpec("N"), 1, probes(4), 9),
+                                (PathSpec("I", 2), 0, probes(2), 9)):
+            pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
+            peak = traced_peak(lambda: separation_report(spec, k, 20, pa, pb, prebuilt_ball=b))
+            assert peak <= cap * len(b), (spec, k)
+
+    def test_decompose_floods_in_the_mask_it_is_given(self):
+        # the floods take about 5.5 bytes a member at R = 20, and a copy
+        # of the mask would add one more
+        b = ball(IDENTITY, 20)
+        removed, dist = coarse._neighborhood(b, coarse._path_keys_in_ball(PathSpec("N"), b), 0)
+        peak = traced_peak(lambda: coarse._decompose(b, removed, dist, 0, []))
+        assert removed.all()
+        assert peak <= 6 * len(b)
 
     def test_walk_keys(self):
         # the kept keys take 8 B a vertex, and the replay holds one slice
