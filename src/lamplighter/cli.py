@@ -3,14 +3,14 @@ separation reports, and the verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 resource-limit error.  All outputs are deterministic text.  Two things
-are cached in LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse), each
-entry beside a sha256 sidecar written before the entry is renamed into
-place: generated walks, under content-addressed names (kind, n, steps),
-each written, hashed, checked and served in chunks of about 1 MiB at
-bounded memory; and, for separate, the graph of each identity ball
-(ball-R.graph: sorted keys, then toggle column), checked by digest,
-length, key order and toggle range (every toggle in -1..members-1)
-before a query at the same radius uses it.
+are cached in LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse): generated
+walks, under content-addressed names (kind, n, steps), each written,
+hashed, checked and served in chunks of about 1 MiB at bounded memory;
+and, for separate, the graph of each identity ball (ball-R.graph: sorted
+keys, then toggle column), checked by digest, length, key order and
+toggle range (every toggle in -1..members-1) before a query at the same
+radius uses it.  An entry is committed only when its write ends
+normally: its sha256 sidecar first, then the entry, renamed into place.
 The ball-local layer (coarse, and with it numpy) is imported only by
 the commands that use it, so walk, dist and --help start without numpy.
 """
@@ -22,10 +22,10 @@ import os
 import re
 import sys
 import tempfile
-from contextlib import ExitStack, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 import click
 
@@ -110,9 +110,13 @@ def _cache_dir() -> Path:
     return Path(os.environ.get("LL_COARSE_CACHE_DIR") or Path.home() / ".cache" / "ll-coarse")
 
 
-def _sidecar(path: Path) -> Path:
-    """Where the sha256 of a cache entry's bytes is kept."""
-    return path.with_name(path.name + ".sha256")
+def _kept_digest(entry: Path) -> str | None:
+    """The sha256 of a cache entry's bytes as kept in its sidecar,
+    entry.sha256; None (a mismatch) when the sidecar cannot be read."""
+    try:
+        return Path(f"{entry}.sha256").read_text().strip()
+    except (OSError, UnicodeDecodeError):
+        return None
 
 
 def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int) -> Iterator[bytes] | None:
@@ -129,9 +133,8 @@ def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int) -> I
     import hashlib  # loads OpenSSL (about 3.5 MB); only the walk cache needs it
 
     try:
-        expected = _sidecar(path).read_text().strip()
         handle = stack.enter_context(path.open("rb"))
-    except (OSError, UnicodeDecodeError):
+    except OSError:
         return None
     cut = prefix + 2  # header and prefix + 1 vertices
     digest, pos, lines, body, cut_at = hashlib.sha256(), 0, 0, 0, 0
@@ -150,7 +153,7 @@ def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int) -> I
                 lines += count
             pos += len(chunk)
         # header, steps + 1 vertices and milestones, each line ending in a newline
-        if digest.hexdigest() != expected or lines != header["steps"] + 3 or last != pos - 1:
+        if digest.hexdigest() != _kept_digest(path) or lines != header["steps"] + 3 or last != pos - 1:
             raise ValueError(path)
         handle.seek(0)
         if json.loads(handle.read(body)) != header:
@@ -203,84 +206,69 @@ def _cache_hit(stack: ExitStack, kind: str, n: int | None, steps: int
     return None, False
 
 
-class _Store:
-    """A cache entry on its way in.  Each chunk goes to a temp file beside
-    the entry and to a sha256; commit writes the sidecar, then renames
-    the temp file into place, so an entry is never in place without its
-    digest.  A failure is one warning, after which the store drops what
-    it has; leaving the with-block removes what was not committed."""
+@contextmanager
+def _stored(entry: Path) -> Iterator[Callable[[bytes | memoryview], None]]:
+    """Store the cache entry that the with-block writes through the yielded
+    function, each chunk to a temp file beside the entry and to a sha256.
+    Only when the block ends normally is the sidecar written, then the
+    temp file renamed into place.  A failure is one warning, after which
+    writes are dropped; on any exit, whatever was not committed is gone."""
+    import hashlib  # loads OpenSSL (about 3.5 MB); only the caches need it
 
-    def __init__(self, entry: Path):
-        import hashlib  # loads OpenSSL (about 3.5 MB); only the caches need it
+    digest, failed, handle, tmp = hashlib.sha256(), False, None, None
 
-        self.entry, self.digest = entry, hashlib.sha256()
-        self.handle: BinaryIO | None = None
-        self.tmp: str | None = None
-        try:
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            fd, self.tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
-            self.handle = os.fdopen(fd, "wb")
-        except OSError as exc:
-            self._fail(exc)
-
-    def __enter__(self) -> _Store:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._drop()
-
-    def _fail(self, exc: OSError) -> None:
+    def fail(exc: OSError) -> None:
+        nonlocal failed
+        failed = True
         click.echo(f"warning: cache store failed: {exc}", err=True)
-        self._drop()
 
-    def _drop(self) -> None:
-        if self.handle is not None:
-            self.handle.close()
-            self.handle = None
-        for path in () if self.tmp is None else (self.tmp, self.tmp + ".sha256"):
+    def write(chunk: bytes | memoryview) -> None:
+        if not failed:
+            digest.update(chunk)
+            try:
+                handle.write(chunk)
+            except OSError as exc:
+                fail(exc)
+
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+        handle = os.fdopen(fd, "wb")
+    except OSError as exc:
+        fail(exc)
+    try:
+        yield write
+        if not failed:
+            try:
+                handle.close()
+                with open(tmp + ".sha256", "w") as side:  # unique beside the unique tmp
+                    side.write(digest.hexdigest() + "\n")
+                os.replace(tmp + ".sha256", f"{entry}.sha256")
+                os.replace(tmp, entry)
+                tmp = None
+            except OSError as exc:
+                fail(exc)
+    finally:
+        if handle is not None:
+            with suppress(OSError):  # a failed write may leave bytes it cannot flush
+                handle.close()
+        for path in () if tmp is None else (tmp, tmp + ".sha256"):
             with suppress(OSError):
                 os.unlink(path)
-        self.tmp = None
-
-    def write(self, chunk: bytes | memoryview) -> None:
-        if self.handle is None:
-            return
-        self.digest.update(chunk)
-        try:
-            self.handle.write(chunk)
-        except OSError as exc:
-            self._fail(exc)
-
-    def commit(self) -> None:
-        if self.handle is None:
-            return
-        try:
-            self.handle.close()
-            self.handle = None
-            with open(self.tmp + ".sha256", "w") as handle:  # unique beside the unique tmp
-                handle.write(self.digest.hexdigest() + "\n")
-            os.replace(self.tmp + ".sha256", _sidecar(self.entry))
-            os.replace(self.tmp, self.entry)
-            self.tmp = None
-        except OSError as exc:
-            self._fail(exc)
 
 
 def _write_output(chunks: Iterable[bytes], out: str, entry: Path | None = None) -> None:
     """Write the chunks to the output (- for stdout) and, when entry is
     given, store them in the cache on the way."""
-    with _Store(entry) if entry is not None else nullcontext() as store:
+    with _stored(entry) if entry is not None else nullcontext(lambda chunk: None) as store:
         try:
             with (nullcontext(click.get_binary_stream("stdout")) if out == "-"
                   else open(out, "wb")) as sink:
                 for chunk in chunks:
                     sink.write(chunk)
-                    if store is not None:
-                        store.write(chunk)
+                    store(chunk)
         except OSError as exc:
             raise click.UsageError(f"cannot write {out}: {exc}")
-        if store is not None:
-            store.commit()
 
 
 # ---------------------------------------------------------------- balls
@@ -302,18 +290,16 @@ def _cached_ball(entry: Path, radius: int, members: int) -> Ball | None:
     from .coarse import Ball
 
     try:
-        expected = _sidecar(entry).read_text().strip()
         with entry.open("rb") as handle:
             data = np.empty(12 * members, dtype=np.uint8)
             if os.fstat(handle.fileno()).st_size != len(data) or handle.readinto(data) != len(data):
                 return None
-    except (OSError, UnicodeDecodeError):
-        return None
-    if hashlib.sha256(data).hexdigest() != expected:
+    except OSError:
         return None
     keys = data[:8 * members].view("<u8")
     toggles = data[8 * members:].view("<i4")
-    if not (np.all(keys[1:] > keys[:-1]) and toggles.min() >= -1 and toggles.max() < members):
+    if not (hashlib.sha256(data).hexdigest() == _kept_digest(entry)
+            and np.all(keys[1:] > keys[:-1]) and toggles.min() >= -1 and toggles.max() < members):
         return None
     return Ball(IDENTITY, radius, keys, toggles)
 
@@ -332,10 +318,9 @@ def _identity_ball(radius: int, member_cap: int) -> Ball:
             return b
         click.echo(f"warning: corrupt cache entry {entry.name}, ignoring", err=True)
     b = ball(IDENTITY, radius, member_cap=member_cap)
-    with _Store(entry) as store:
+    with _stored(entry) as store:
         for column, dtype in ((b.keys, "<u8"), (b.toggles, "<i4")):
-            store.write(memoryview(column.astype(dtype, copy=False)).cast("B"))
-        store.commit()
+            store(memoryview(column.astype(dtype, copy=False)).cast("B"))
     return b
 
 

@@ -1,6 +1,8 @@
 """CLI layer: command output formats, cache behavior, exit codes."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import signal
@@ -73,6 +75,24 @@ def run(runner, env, *args, code=0):
     result = runner.invoke(main, list(args), env=env)
     assert result.exit_code == code, result.stderr or result.output
     return result
+
+
+class FullAfterOneChunk(io.BufferedWriter):
+    """A cache temp file whose disk fills after its first chunk."""
+    chunks = 0
+
+    def write(self, chunk):
+        self.chunks += 1
+        if self.chunks > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(chunk)
+
+
+def fill_after_one_chunk(monkeypatch):
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: FullAfterOneChunk(io.FileIO(fd, "w")))
+
+
+DISK_FULL = f"warning: cache store failed: {OSError(errno.ENOSPC, 'No space left on device')}\n"
 
 
 class TestWalkCommand:
@@ -371,6 +391,20 @@ class TestWalkCache:
         assert f"cannot write {out}" in r.stderr
         assert os.listdir(self.cache_dir(cache_env)) == []  # the store dropped its open temp file
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_output_onto_a_full_device_leaves_no_entry(self, runner, cache_env):
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "/dev/full", code=2)
+        assert "cannot write /dev/full" in r.stderr
+        assert os.listdir(self.cache_dir(cache_env)) == []  # no entry, temp file or sidecar
+
+    def test_failed_temp_file_write_is_one_warning(self, runner, cache_env, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK", 64)
+        fill_after_one_chunk(monkeypatch)
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", "12", "--out", "-")
+        assert r.stdout == WALK_N12
+        assert r.stderr == DISK_FULL  # the later chunks are dropped without a warning
+        assert os.listdir(self.cache_dir(cache_env)) == []
+
 
 class TestWalkCacheChunks:
     """Entries are built, hashed, checked and served in cli._CHUNK-byte
@@ -482,6 +516,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
     ["--help"],
 ], ids=["walk", "dist", "help"])
 def test_starts_without_numpy(args, tmp_path):
+    """Without numpy, and without OpenSSL's _hashlib (about 3.5 MB)
+    unless the walk cache is read or written."""
     code = (
         "import sys\n"
         "from lamplighter.cli import main\n"
@@ -489,13 +525,17 @@ def test_starts_without_numpy(args, tmp_path):
         "    main(sys.argv[1:], prog_name='ll-coarse')\n"
         "finally:\n"
         "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+        "    print('_hashlib loaded:', '_hashlib' in sys.modules, file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC), "LL_COARSE_CACHE_DIR": str(tmp_path)}
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout
-    assert done.stderr.splitlines()[-1] == "numpy loaded: False"
+    lines = done.stderr.splitlines()
+    assert lines[-2] == "numpy loaded: False"
+    if args[0] != "walk" or "--no-cache" in args:
+        assert lines[-1] == "_hashlib loaded: False"
 
 
 ENTRY = "import sys; from lamplighter.cli import main; main(sys.argv[1:], prog_name='ll-coarse')"
@@ -887,6 +927,14 @@ class TestBallCache:
         monkeypatch.setattr(cli.os, "replace", failing_sidecar)
         r = self.separate(runner, cache_env, 9)
         assert r.stderr == "warning: cache store failed: no space left\n"
+        assert os.listdir(cache_env["LL_COARSE_CACHE_DIR"]) == []
+
+    def test_failed_temp_file_write_is_one_warning(self, runner, cache_env, monkeypatch, tmp_path):
+        want = self.separate(runner, {"LL_COARSE_CACHE_DIR": str(tmp_path / "other")}, 9).stdout_bytes
+        fill_after_one_chunk(monkeypatch)  # the keys go in, the toggle column fails
+        r = self.separate(runner, cache_env, 9)
+        assert r.stdout_bytes == want
+        assert r.stderr == DISK_FULL
         assert os.listdir(cache_env["LL_COARSE_CACHE_DIR"]) == []
 
     @pytest.mark.parametrize("args,code,message", [
