@@ -1,15 +1,16 @@
 """Command-line front door: walks, distances, balls, profiles,
 separation reports, and the verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource-limit error.  All outputs are deterministic text.  Two things
-are cached in LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse): generated
-walks, under content-addressed names (kind, n, steps), each written,
-hashed, checked and served in chunks of about 1 MiB at bounded memory;
-and, for separate, the graph of each identity ball (ball-R.graph: sorted
-keys, then toggle column), checked by digest, length, key order and
-toggle range (every toggle in -1..members-1) before a query at the same
-radius uses it.  An entry is committed only when its write ends
+Exit codes: 0 success, 1 verification failure or a walk-cache entry
+that changed while it was served, 2 usage error, 3 resource-limit
+error.  All outputs are deterministic text.  Two things are cached in
+LL_COARSE_CACHE_DIR (default ~/.cache/ll-coarse): generated walks,
+under content-addressed names (kind, n, steps), each written, hashed,
+checked and served in chunks of about 1 MiB at bounded memory; and, for
+separate, the graph of each identity ball (ball-R.graph: sorted keys,
+then toggle column), checked by digest, length, key order and toggle
+range (every toggle in -1..members-1) before a query at the same radius
+uses it.  An entry is committed only when its write ends
 normally: its sha256 sidecar first, then the entry, renamed into place.
 The ball-local layer (coarse, and with it numpy) is imported only by
 the commands that use it, so walk, dist and --help start without numpy.
@@ -175,15 +176,21 @@ def _cached_chunks(stack: ExitStack, path: Path, header: dict, prefix: int) -> I
 
 
 def _file_chunks(handle: BinaryIO, head: bytes, start: int, stop: int, tail: bytes) -> Iterator[bytes]:
-    """head, then the bytes [start, stop) of a file _CHUNK at a time, then tail."""
+    """head, then the bytes [start, stop) of a checked cache entry _CHUNK
+    at a time, then tail.  An entry that reads short or fails to read
+    has changed since its check: a ClickException (exit 1) naming it."""
     yield head
-    handle.seek(start)
-    while start < stop:
-        chunk = handle.read(min(_CHUNK, stop - start))
-        if not chunk:
-            raise OSError(f"{handle.name} ended at {start}, before {stop}")
-        start += len(chunk)
-        yield chunk
+    try:
+        handle.seek(start)
+        while start < stop:
+            chunk = handle.read(min(_CHUNK, stop - start))
+            if not chunk:
+                raise OSError(f"it ended at {start}, before {stop}")
+            start += len(chunk)
+            yield chunk
+    except OSError as exc:
+        raise click.ClickException(
+            f"cache entry {Path(handle.name).name} changed while it was served: {exc}")
     yield tail
 
 

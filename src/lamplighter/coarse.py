@@ -548,21 +548,32 @@ def _flood(b: Ball, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]
     """Breadth-first levels through the ball graph, its toggles and links.
 
     Yields the start positions, then each level's unseen neighbours, as
-    sorted int32 positions in the key table (start must be int32 too),
-    and marks every yielded position in seen.
+    int32 positions in the key table (start must be int32 too), and marks
+    every yielded position in seen.  A level is expanded _REPLAY_ROWS
+    positions at a time: each slice's unseen neighbours are deduplicated
+    and marked seen at once, so the next slice skips them, and the next
+    level is the slices one after another, each sorted but not merged:
+    no depth, size, representative or probe id depends on the order
+    within a level.
     """
     tog, link = b.toggles, b.links
+    seen[start] = True
     frontier = start
     while len(frontier):
-        seen[frontier] = True
         yield frontier
-        flipped = tog[frontier]
-        cand = np.concatenate([
-            flipped[flipped >= 0],
-            frontier[link[frontier + 1]] + 1,
-            frontier[link[frontier]] - 1,
-        ])
-        frontier = _unique(cand[~seen[cand]])
+        slices = []
+        for lo in range(0, len(frontier), _REPLAY_ROWS):
+            part = frontier[lo:lo + _REPLAY_ROWS]
+            flipped = tog[part]
+            cand = np.concatenate([
+                flipped[flipped >= 0],
+                part[link[part + 1]] + 1,
+                part[link[part]] - 1,
+            ])
+            cand = _unique(cand[~seen[cand]])
+            seen[cand] = True
+            slices.append(cand)
+        frontier = np.concatenate(slices)
 
 
 def _neighborhood(

@@ -405,6 +405,24 @@ class TestWalkCache:
         assert r.stderr == DISK_FULL  # the later chunks are dropped without a warning
         assert os.listdir(self.cache_dir(cache_env)) == []
 
+    @pytest.mark.parametrize("steps", [2000, 1000], ids=["exact", "prefix"])
+    def test_entry_that_shrinks_while_served_exits_one(self, runner, cache_env, monkeypatch, steps):
+        run(runner, cache_env, "walk", "--kind", "N", "--steps", "2000", "--out", "-")
+        cache = self.cache_dir(cache_env)
+        before = sorted(os.listdir(cache))
+        checked = cli._cached_chunks
+
+        def shrink_after_the_check(stack, path, header, prefix):
+            chunks = checked(stack, path, header, prefix)
+            os.truncate(path, 100)
+            return chunks
+
+        monkeypatch.setattr(cli, "_cached_chunks", shrink_after_the_check)
+        r = run(runner, cache_env, "walk", "--kind", "N", "--steps", str(steps), "--out", "-", code=1)
+        assert "cache entry N-0-2000.walk changed while it was served" in r.stderr
+        assert "cannot write" not in r.stderr
+        assert sorted(os.listdir(cache)) == before  # no new entry, temp file or sidecar
+
 
 class TestWalkCacheChunks:
     """Entries are built, hashed, checked and served in cli._CHUNK-byte

@@ -709,11 +709,16 @@ def within(b, sources, k):
 
 
 class TestComponents:
+    @pytest.fixture(params=[7, 1 << 14], ids=["rows7", "rows16384"])
+    def rows(self, request, monkeypatch):
+        # with 7 rows, every level of these balls spans many flood slices
+        monkeypatch.setattr(coarse, "_REPLAY_ROWS", request.param)
+
     @pytest.mark.parametrize(
         "radius,spec,k,count",
         [(12, PathSpec("N"), 0, 31), (12, PathSpec("N"), 1, 49), (9, PathSpec("C", 1), 0, 29)],
     )
-    def test_report_matches_reference_labelling(self, radius, spec, k, count):
+    def test_report_matches_reference_labelling(self, radius, spec, k, count, rows):
         b = ball(IDENTITY, radius)
         p = probes(spec.n or 2)
         pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
@@ -726,7 +731,7 @@ class TestComponents:
         if k == 0:
             assert list(rep.components) == components_after_removal(b, path_in_ball(spec, b))
 
-    def test_many_components_match_reference_labelling(self):
+    def test_many_components_match_reference_labelling(self, rows):
         b = ball(IDENTITY, 14)
         odd = [v for v, d in oracle_members(b) if d % 2]
         comps = components_after_removal(b, odd)
@@ -1048,6 +1053,15 @@ class TestWorkingSet:
             pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
             peak = traced_peak(lambda: separation_report(spec, k, 20, pa, pb, prebuilt_ball=b))
             assert peak <= cap * len(b), (spec, k)
+
+    def test_neighborhood_floods_a_slice_at_a_time(self):
+        # the depth flood holds the distances, the seen mask and the next
+        # level, about 4.6 bytes a member at R = 20; expanding each level
+        # whole read about 6.1
+        b = ball(IDENTITY, 20)
+        b.toggles, b.links  # built before the trace
+        keys = coarse._path_keys_in_ball(PathSpec("N"), b)
+        assert traced_peak(lambda: coarse._neighborhood(b, keys, 0)) <= 5 * len(b)
 
     def test_decompose_floods_in_the_mask_it_is_given(self):
         # the floods take about 5.5 bytes a member at R = 20, and a copy
