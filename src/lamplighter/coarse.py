@@ -403,9 +403,7 @@ def _line_keys(radius: int, off: int) -> Iterator[np.ndarray]:
             yield _replay_stages(stages[lo:lo + _REPLAY_ROWS], k, off)
 
 
-def _path_keys_in_ball(spec: PathSpec | None, b: Ball) -> np.ndarray:
-    if spec is None:
-        return np.array([], dtype=np.uint64)
+def _path_keys_in_ball(spec: PathSpec, b: Ball) -> np.ndarray:
     if b.center != IDENTITY:
         raise ValueError("path enumeration requires a ball centered at the identity")
     if spec.kind in ("I", "C"):
@@ -576,33 +574,31 @@ def _flood(b: Ball, start: np.ndarray, seen: np.ndarray) -> Iterator[np.ndarray]
         frontier = np.concatenate(slices)
 
 
-def _neighborhood(
-    b: Ball, source_keys: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _neighborhood(b: Ball, source_keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the ball positions within k of the sources, and each
-    position's distance to the sources (int8, None without sources), by
-    one flood from the sources.  Any two members are joined through the
+    position's distance to the sources (int8, -1 where unreached), by one
+    flood from the sources.  Any two members are joined through the
     center inside the ball, so the flood reaches every member at most 2 *
-    radius <= 56 away.
+    radius <= 56 away, or none of them without sources.
 
     A kept position's depth below the neighborhood is its distance minus
     k: in a connected graph the distance to the k-neighborhood of a set
     is the distance to the set minus k.  Callers subtract k as Python
-    ints, so no k overflows the int8 distances, and the mask is one
-    comparison on the distances read as uint8 (an unreached -1 reads 255).
+    ints, so no k overflows the int8 distances.  The mask is the flood's
+    seen buffer, refilled by one comparison on the distances read as
+    uint8 against min(k, 2 * radius), so an unreached -1 (255) stays kept.
     """
-    if len(source_keys) == 0:
-        return np.zeros(len(b.keys), dtype=bool), None
     dist = np.full(len(b.keys), -1, dtype=np.int8)
     seen = np.zeros(len(b.keys), dtype=bool)
     start = np.searchsorted(b.keys, source_keys).astype(np.int32)
     for level, pos in enumerate(_flood(b, start, seen)):
         dist[pos] = level
-    return dist.view(np.uint8) <= k, dist
+    np.less_equal(dist.view(np.uint8), min(k, 2 * b.radius), out=seen)
+    return seen, dist
 
 
 def _decompose(
-    b: Ball, removed: np.ndarray, dist: np.ndarray | None, k: int, probes: list[int]
+    b: Ball, removed: np.ndarray, dist: np.ndarray, k: int, probes: list[int]
 ) -> tuple[list[int], list[Component]]:
     """Component id of each probe position (all kept) and the components
     of the ball minus the removed positions.
@@ -614,28 +610,27 @@ def _decompose(
     _REPLAY_ROWS positions at a time.  A probe's id is that of the first
     component whose flood marks its position seen.  A component's depth
     is its largest distance to the sources minus k (dist and k as from
-    _neighborhood).  The floods mark the removed mask itself as seen, so
-    it reads all True afterwards.
+    _neighborhood), None when the sources reach none of it.  The floods
+    mark the removed mask itself as seen, so it reads all True afterwards.
     """
     keys = b.keys
     seen = removed
     ids = [-1] * len(probes)
     comps: list[Component] = []
     for lo in range(0, len(keys), _REPLAY_ROWS):
-        for start in (lo + np.flatnonzero(~seen[lo:lo + _REPLAY_ROWS])).tolist():
+        for start in lo + np.flatnonzero(~seen[lo:lo + _REPLAY_ROWS]):
             if seen[start]:
                 continue
-            size, deepest = 0, 0
+            size, deepest = 0, -1
             for level in _flood(b, np.array([start], dtype=np.int32), seen):
                 size += len(level)
-                if dist is not None:
-                    deepest = max(deepest, int(dist[level].max()))
+                deepest = max(deepest, int(dist[level].max()))
             ids = [len(comps) if i < 0 and seen[pos] else i for i, pos in zip(ids, probes)]
             comps.append(Component(
                 id=len(comps),
                 size=size,
                 representative=b.unpack(keys[start]),
-                max_distance_to_obstacle=None if dist is None else deepest - k,
+                max_distance_to_obstacle=None if deepest < 0 else deepest - k,
             ))
     return ids, comps
 
@@ -671,7 +666,7 @@ class SeparationReport:
     not a statement about the whole group.
     """
 
-    path: PathSpec | None
+    path: PathSpec
     k_neighborhood: int
     radius: int
     ball_size: int
@@ -686,8 +681,8 @@ class SeparationReport:
 
         return {
             "obstacle": {
-                "kind": self.path.kind if self.path else None,
-                "n": self.path.n if self.path else None,
+                "kind": self.path.kind,
+                "n": self.path.n,
                 "size_in_ball": self.obstacle_size,
             },
             "K": self.k_neighborhood,
@@ -715,7 +710,7 @@ class SeparationReport:
 
 
 def separation_report(
-    spec: PathSpec | None,
+    spec: PathSpec,
     k_neighborhood: int,
     radius: int,
     probe_a: Configuration,
@@ -744,22 +739,18 @@ def separation_report(
             raise ProbeInsideObstacleError(
                 f"probe {p!r} lies in the removed obstacle neighborhood"
             )
-    obstacle_size = int(removed.sum())  # before _decompose floods the mask
     ids, comps = _decompose(b, removed, dist, k_neighborhood, probe_positions)
     placements = []
     for p, pos, comp_id in zip((probe_a, probe_b), probe_positions, ids):
-        dist_val = None
-        if spec is not None:
-            # the in-ball distance to the obstacle bounds d(p, path) from
-            # above, and a path of length <= R - d(e, p) from p stays in
-            # the ball, so d_ball <= R - d(e, p) + 1 is exact
-            d_ball = None if dist is None else int(dist[pos])
-            if d_ball is not None and d_ball <= radius - word_distance(IDENTITY, p) + 1:
-                d = d_ball if d_ball <= radius else EXCEEDS
-            else:
-                d = distance_to_path(p, spec, cap=radius)
-            dist_val = None if d is EXCEEDS else int(d)
-        placements.append(ProbePlacement(p, comp_id, dist_val))
+        # the in-ball distance to the obstacle bounds d(p, path) from
+        # above, and a path of length <= R - d(e, p) from p stays in the
+        # ball, so d_ball <= R - d(e, p) + 1 is exact (-1: unreached)
+        d_ball = int(dist[pos])
+        if 0 <= d_ball <= radius - word_distance(IDENTITY, p) + 1:
+            d = d_ball if d_ball <= radius else EXCEEDS
+        else:
+            d = distance_to_path(p, spec, cap=radius)
+        placements.append(ProbePlacement(p, comp_id, None if d is EXCEEDS else int(d)))
     verdict = (
         "separated-in-ball"
         if placements[0].component_id != placements[1].component_id
@@ -770,7 +761,7 @@ def separation_report(
         k_neighborhood=k_neighborhood,
         radius=radius,
         ball_size=b.member_count,
-        obstacle_size=obstacle_size,
+        obstacle_size=b.member_count - sum(c.size for c in comps),
         components=tuple(comps),
         probes=tuple(placements),
         verdict=verdict,

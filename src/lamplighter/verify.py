@@ -149,7 +149,7 @@ def _check_stage_depth() -> tuple[bool, str]:
     near = []  # (vertex, distance from e) of the stages below 2**10
     lows = {}  # stage -> its min distance from e
     for n in range(4097):
-        dists = [(v, word_distance(IDENTITY, v)) for v in stage_walk(n).vertices]
+        dists = [(v, word_distance(IDENTITY, v)) for v in stage_walk(n).iter_vertices()]
         if n < 1 << 10:
             near.append(dists)
         if n == 0:
@@ -237,7 +237,7 @@ def _check_intervals_circles() -> tuple[bool, str]:
         dx = distance_to_path(ps.x_n, PathSpec("I", n), cap=5 * n + 4)
         dy = distance_to_path(ps.y_n, PathSpec("I", n), cap=5 * n + 4)
         # the packed replay against a scan of the interval's own vertices
-        brute = [min(word_distance(p, w) for w in interval.vertices) for p in (ps.x_n, ps.y_n)]
+        brute = [min(word_distance(p, w) for w in interval.iter_vertices()) for p in (ps.x_n, ps.y_n)]
         dist_ok = (
             [dx, dy] == [d if d <= 5 * n + 4 else EXCEEDS for d in brute]
             and dx is not EXCEEDS and dy is not EXCEEDS and dx >= n and dy >= n

@@ -91,9 +91,10 @@ def test_line_check_streams_the_replay():
     assert traced_peak(verify._check_line_well_formed) <= 200 * 100_001
 
 
-@pytest.mark.parametrize("check_id", ["3-line-well-formed", "7-quasi-line"])
+@pytest.mark.parametrize("check_id", ["3-line-well-formed", "4-stage-depth", "7-quasi-line",
+                                      "8-intervals-circles"])
 def test_checks_build_no_vertex_tuple(monkeypatch, check_id):
-    """Checks 3 and 7 stream their walks' vertices (Walk.iter_vertices)."""
+    """Checks 3, 4, 7 and 8 stream their walks' vertices (Walk.iter_vertices)."""
     def no_vertices(self):
         raise AssertionError("Walk.vertices was built")
 

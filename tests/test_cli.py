@@ -854,6 +854,17 @@ class TestSeparateCommand:
 
         assert answer(k) == answer(25)
 
+    @pytest.mark.parametrize("k,digest", [(0, "5607ba942420cfa09a05a8f4c323d417"),
+                                          (300, "9a1879b46588cbd1580e8228bd1aa4a4")])
+    def test_obstacle_missing_the_ball(self, runner, cache_env, k, digest):
+        # C1 has no vertex in ball(e, 0): nothing is removed, the one
+        # component and both probes have no distance to the obstacle
+        # (null), and K past 2R removes no unreached member
+        origin = '{"cursor":0,"lamps":[]}'
+        r = run(runner, cache_env, "separate", "--kind", "C", "--n", "1", "--radius", "0",
+                "--k", str(k), "--probe-a", origin, "--probe-b", origin)
+        assert hashlib.md5(r.stdout_bytes).hexdigest() == digest
+
 
 # probes in every ball of radius >= 9, at least 3 from N, R, I1 and C1
 FAR_PROBES = ("--probe-a", '{"cursor":-5,"lamps":[]}', "--probe-b", '{"cursor":6,"lamps":[]}')

@@ -363,8 +363,11 @@ class TestPackedKernels:
             for token in ("np.unique(", "np.union1d(", "np.argsort(", "scipy"):
                 assert token not in text, (path.name, token)
         # the coarse layer reads every walk as packed lamp words, never as
-        # one Configuration per vertex
-        assert ".vertices" not in Path(coarse.__file__).read_text()
+        # one Configuration per vertex, and every separation query has a
+        # path and a distance column (no None obstacle or dist)
+        text = Path(coarse.__file__).read_text()
+        for token in (".vertices", "PathSpec | None", "dist is None"):
+            assert token not in text, token
         # a walk is its start and its cursors: no module keeps a step view
         # of it (the Step enum, apply_step, generator, replay, Walk.steps)
         # or Ball.distance, by name, import, definition or attribute; the
@@ -799,12 +802,6 @@ class TestSeparationReport:
         assert rep["obstacle"]["size_in_ball"] == obstacle
         assert len(rep["components"]) == ncomp
 
-    def test_empty_obstacle_reports_connected(self):
-        rep = separation_report(None, 0, 3, Configuration([], -2), Configuration([], 2))
-        d = rep.to_dict()
-        assert d["verdict"] == "connected-in-ball"
-        assert len(d["components"]) == 1
-
     def test_probe_outside_ball_is_rejected(self):
         with pytest.raises(ProbeOutsideBallError):
             separation_report(PathSpec("N"), 0, 4, Configuration([], -9), probes(1).b_n)
@@ -1043,13 +1040,15 @@ class TestWorkingSet:
         assert traced_peak(lambda: ball(IDENTITY, 20)) <= 26 * members
 
     def test_separation_report_on_a_prebuilt_ball(self):
-        # the report holds one removed mask and floods in it.  N at K = 0
-        # also builds the ball's toggles and links columns and reads about
-        # 12.8 bytes a member; the other two reuse them and read about 7.5
+        # the report holds one removed mask, the depth flood's own seen
+        # buffer, and floods in it.  N at K = 0 also builds the ball's
+        # toggles and links columns and reads about 10.3 bytes a member;
+        # the other two reuse them and read about 5.3 (12.5 and 7.5 while
+        # the seed scan listed every unseen position of a slice)
         b = ball(IDENTITY, 20)
-        for spec, k, p, cap in ((PathSpec("N"), 0, probes(2), 14),
-                                (PathSpec("N"), 1, probes(4), 9),
-                                (PathSpec("I", 2), 0, probes(2), 9)):
+        for spec, k, p, cap in ((PathSpec("N"), 0, probes(2), 11),
+                                (PathSpec("N"), 1, probes(4), 6),
+                                (PathSpec("I", 2), 0, probes(2), 6)):
             pa, pb = (p.a_n, p.b_n) if spec.n is None else (p.x_n, p.y_n)
             peak = traced_peak(lambda: separation_report(spec, k, 20, pa, pb, prebuilt_ball=b))
             assert peak <= cap * len(b), (spec, k)
@@ -1064,13 +1063,14 @@ class TestWorkingSet:
         assert traced_peak(lambda: coarse._neighborhood(b, keys, 0)) <= 5 * len(b)
 
     def test_decompose_floods_in_the_mask_it_is_given(self):
-        # the floods take about 5.5 bytes a member at R = 20, and a copy
-        # of the mask would add one more
+        # the floods take about 3.3 bytes a member at R = 20, and a copy
+        # of the mask would add one more; a Python list of each slice's
+        # unseen positions for the seed scan read about 5.5
         b = ball(IDENTITY, 20)
         removed, dist = coarse._neighborhood(b, coarse._path_keys_in_ball(PathSpec("N"), b), 0)
         peak = traced_peak(lambda: coarse._decompose(b, removed, dist, 0, []))
         assert removed.all()
-        assert peak <= 6 * len(b)
+        assert peak <= 4 * len(b)
 
     def test_walk_keys(self):
         # the kept keys take 8 B a vertex, and the replay holds one slice
