@@ -46,13 +46,14 @@ from .group import (
     bfs_ball,
     compose,
     decode_config,
+    dyadic_views,
     encode_config,
     invert,
     word_distance,
 )
 from .walks import (
+    VisitedVertices,
     half_quasi_line,
-    keyed_vertices,
     probes,
     quasi_circle,
     quasi_interval,
@@ -126,17 +127,17 @@ def _check_line_well_formed() -> tuple[bool, str]:
         ordered = ordered and idx > last_index
         last_index = idx
         stages.setdefault(idx, []).append(n)
-    # one pass over the replay: exact keys for distinctness, and each
-    # milestone vertex against its stage as the stream passes it
-    seen = set()
-    count = matched = 0
-    for idx, (v, key) in enumerate(keyed_vertices(walk.iter_vertices())):
-        seen.add(key)
+    # one pass over the replay: an exact visited set for distinctness,
+    # and each milestone vertex against its stage as the stream passes it
+    visited = VisitedVertices()
+    count = fresh = matched = 0
+    for idx, v in enumerate(walk.iter_vertices()):
+        fresh += visited.add(v)
         count += 1
         for n in stages.get(idx, ()):
-            if v == stage_config(n) and key[0] == (n, 0):  # key[0] is dyadic_views(v)
+            if v == stage_config(n) and dyadic_views(v) == (n, 0):
                 matched += 1
-    distinct = len(seen) == count
+    distinct = fresh == count
     ok = distinct and ordered and matched == 4097
     return ok, (
         f"{count} vertices distinct={distinct}, "

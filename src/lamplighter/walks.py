@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .group import IDENTITY, Configuration, dyadic_views
 
@@ -69,23 +69,38 @@ def stage_cursors(n: int) -> Iterator[int]:
     yield from range(1 - k, 1)
 
 
-def keyed_vertices(
-    vertices: Iterable[Configuration],
-) -> Iterator[tuple[Configuration, tuple[tuple[int, int], int]]]:
-    """Each vertex with its key (dyadic_views(v), v.cursor), which is
-    exact: dyadic_views maps finite lamp sets one-to-one onto pairs of
-    naturals.
+class VisitedVertices:
+    """An exact set of visited vertices, filled one vertex at a time.
+
+    It keeps one entry per distinct lamp set, keyed by its dyadic views
+    (dyadic_views maps finite lamp sets one-to-one onto pairs of
+    naturals): the first cursor seen under that lamp set, and an int
+    bit mask of every cursor seen under it.  Cursor c sets the bit
+    zigzag(c - first), so a mask grows with the span of cursors its
+    lamp set was visited at, not with |c|.
 
     The views are computed once per lamp-set object: Walk.iter_vertices
-    hands one frozenset to every vertex of a run of moves, so a walk's
-    keys share their views tuples and cost about one int pair per
-    toggle.
+    hands one frozenset to every vertex of a run of moves, so a walk
+    costs about one entry per toggle and one bit per vertex.
     """
-    lamps = views = None
-    for v in vertices:
-        if v.lamps is not lamps:
-            lamps, views = v.lamps, dyadic_views(v)
-        yield v, (views, v.cursor)
+
+    def __init__(self) -> None:
+        self._first: dict[tuple[int, int], int] = {}
+        self._masks: dict[tuple[int, int], int] = {}
+        self._lamps: frozenset[int] | None = None
+
+    def add(self, v: Configuration) -> bool:
+        """Mark v visited; True if it was not visited before."""
+        if v.lamps is not self._lamps:
+            self._lamps, self._views = v.lamps, dyadic_views(v)
+            self._origin = self._first.setdefault(self._views, v.cursor)
+        offset = v.cursor - self._origin
+        bit = 1 << (2 * offset if offset >= 0 else -2 * offset - 1)
+        mask = self._masks.get(self._views, 0)
+        if mask & bit:
+            return False
+        self._masks[self._views] = mask | bit
+        return True
 
 
 @dataclass(frozen=True)
@@ -132,16 +147,16 @@ class Walk:
 
     def is_simple(self) -> bool:
         """No repeated vertex; a closed walk must end at its first vertex
-        and repeat no other.  Streams iter_vertices and compares exact
-        keys (see keyed_vertices), so it builds no vertex tuple."""
-        keys = (key for _, key in keyed_vertices(self.iter_vertices()))
-        first = next(keys)
-        seen = {first}
-        for key in keys:
-            if key in seen:
-                return self.closed and key == first and next(keys, None) is None
-            seen.add(key)
-        return not self.closed or len(seen) == 1
+        and repeat no other.  Streams iter_vertices into a
+        VisitedVertices, so it builds no vertex tuple."""
+        vertices = self.iter_vertices()
+        first = next(vertices)
+        visited = VisitedVertices()
+        visited.add(first)
+        for v in vertices:
+            if not visited.add(v):
+                return self.closed and v == first and next(vertices, None) is None
+        return not self.closed or len(self.cursors) == 1
 
 
 def stage_walk(n: int) -> Walk:

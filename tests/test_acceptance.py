@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lamplighter import coarse, verify
+from lamplighter.group import sphere_sizes
 from lamplighter.verify import check_ids, run_checks
 from lamplighter.walks import Walk, half_quasi_line
 
@@ -86,9 +87,20 @@ def test_stage_depth_check_catches_a_missing_line_stage(monkeypatch):
 
 
 def test_line_check_streams_the_replay():
-    """Check 3 holds one key per vertex, not the 100,001 Configurations
-    and a set of them (438 bytes per vertex under tracemalloc)."""
-    assert traced_peak(verify._check_line_well_formed) <= 200 * 100_001
+    """Check 3 holds one cursor bit per vertex and one mask per lamp set
+    (about 85 bytes per vertex under tracemalloc), not a set of 100,001
+    (views, cursor) keys (158) or the Configurations and a set of them
+    (438)."""
+    assert traced_peak(verify._check_line_well_formed) <= 100 * 100_001
+
+
+def test_line_separation_check_streams_its_balls():
+    """Check 6's worker sets the peak RSS of verify.  The check traces
+    about 18 bytes per member of ball(e, 22), the largest of its three
+    balls."""
+    members = sum(sphere_sizes(22))
+    assert members == 611_158
+    assert traced_peak(verify._check_line_separation) <= 20 * members
 
 
 @pytest.mark.parametrize("check_id", ["3-line-well-formed", "4-stage-depth", "7-quasi-line",

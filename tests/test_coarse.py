@@ -385,7 +385,9 @@ class TestPackedKernels:
         # only use (no _counter_line_keys_in_ball).  Walk and ball cache
         # entries have one writer, cli._stored, which commits when its
         # with-block ends normally, so no caller commits (no _Store and no
-        # commit)
+        # commit).  A walk's distinctness is one VisitedVertices, a cursor
+        # mask per lamp set, not a stream of (views, cursor) keys (no
+        # keyed_vertices)
         for path in Path(coarse.__file__).parent.glob("*.py"):
             nodes = list(ast.walk(ast.parse(path.read_text())))
             defs = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -399,7 +401,7 @@ class TestPackedKernels:
                 "Step", "apply_step", "generator", "replay", "stage_step_count", "_profile_walk",
                 "_dists", "_lamp_words", "_ball_bfs_from", "_neighbors", "_SCAN_CHUNK",
                 "_PAIR_CHUNK", "_cpus", "_fork_share", "_share_results", "_counter_line_keys_in_ball",
-                "_Store", "commit",
+                "_Store", "commit", "keyed_vertices",
             }, path.name
             assert not attrs & {"steps", "distance"}, path.name
             ball_defs = {stmt.name for node in nodes if isinstance(node, ast.ClassDef) and node.name == "Ball"

@@ -1,7 +1,7 @@
 """Walk layer: stage walks, the four explicit paths, probe configurations."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lamplighter import (
@@ -19,7 +19,9 @@ from lamplighter import (
     word_distance,
 )
 from lamplighter import walks
-from lamplighter.walks import Walk, intrinsic_step_count, keyed_vertices, path_walk
+from lamplighter.walks import VisitedVertices, Walk, intrinsic_step_count, path_walk
+
+from conftest import traced_peak
 
 
 class TestStagePrimitives:
@@ -312,8 +314,15 @@ def tuple_simple(w):
     return len(set(v)) == len(v)
 
 
+def near_zero_or_1000(r):
+    """Integers within r of 0, 1000 or -1000."""
+    return st.one_of(*(st.integers(c - r, c + r) for c in (0, 1000, -1000)))
+
+
 class TestSimplicity:
-    """Walk.is_simple streams exact keys (dyadic views, cursor)."""
+    """Walk.is_simple streams the vertices into a VisitedVertices: per
+    lamp set (keyed by its dyadic views), a bit mask of the cursors seen,
+    offset from the first."""
 
     def test_open_walk_that_revisits_a_vertex(self):
         assert not Walk(IDENTITY, [0, 1, 0]).is_simple()
@@ -336,20 +345,27 @@ class TestSimplicity:
 
     def test_lamps_either_side_of_zero_are_distinct(self):
         # {-1} and {0} have dyadic views (0, 1) and (1, 0)
-        [(_, a), (_, b)] = keyed_vertices([Configuration([-1], 0), Configuration([0], 0)])
-        assert a != b
+        visited = VisitedVertices()
+        assert visited.add(Configuration([-1], 0))
+        assert visited.add(Configuration([0], 0))
+        assert not visited.add(Configuration([-1], 0))
         w = Walk(Configuration([-1], 0), [0, -1, -1, 0, 0])
         assert w.vertices[0] == Configuration([-1], 0)
         assert w.end == Configuration([0], 0)
         assert w.is_simple()
 
-    def test_keys_share_views_along_a_run_of_moves(self):
+    def test_views_once_per_lamp_set_along_a_run_of_moves(self, monkeypatch):
+        lamp_sets = []
+
+        def counted(g):
+            lamp_sets.append(g.lamps)
+            return dyadic_views(g)
+
+        monkeypatch.setattr(walks, "dyadic_views", counted)
         w = half_quasi_line(1000)
-        keys = [key for _, key in keyed_vertices(w.iter_vertices())]
-        assert keys == [(dyadic_views(v), v.cursor) for v in w.vertices]
-        views = {id(k[0]) for k in keys}
+        assert w.is_simple()
         toggles = sum(a == b for a, b in zip(w.cursors, w.cursors[1:]))
-        assert len(views) == toggles + 1
+        assert len(lamp_sets) == toggles + 1
 
     def test_builds_no_vertex_tuple(self, monkeypatch):
         def no_vertices(self):
@@ -359,7 +375,22 @@ class TestSimplicity:
         assert quasi_circle(2).is_simple()
         assert quasi_line(40, 400).is_simple()
 
-    @given(st.lists(st.integers(-3, 3), max_size=4), st.integers(-2, 2),
+    @pytest.mark.parametrize("far", [10**7, -10**7])
+    def test_a_walk_parked_far_from_zero_keeps_small_masks(self, far):
+        # 2,000 moves from cursor far under lamps near 0: the mask spans
+        # the cursors seen, not 2 * 10**7 bits (a toggle out there would
+        # put a lamp at 10**7 into the dyadic views themselves)
+        w = Walk(Configuration([-2, 0, 3], far), [far - i for i in range(2001)])
+        assert w.is_simple()
+        assert traced_peak(w.is_simple) <= 16_000
+        w = Walk(w.start, [*w.cursors, far - 1999])
+        assert not w.is_simple()
+
+    # simple walks whose start lamp set recurs at offsets 0, +1 and -1
+    # from its first cursor
+    @example([], 0, [1, 0, -1, -1, 0, 1, 1, 0, -1, -1, 0], False)
+    @example([-999], -1000, [1, 0, -1, -1, 0, 1, 1, 0, -1, -1, 0], False)
+    @given(st.lists(near_zero_or_1000(3), max_size=4), near_zero_or_1000(2),
            st.lists(st.sampled_from([-1, 0, 1]), max_size=24), st.booleans())
     def test_matches_the_vertex_tuple(self, lamps, cursor, moves, closed):
         cursors = [cursor]
